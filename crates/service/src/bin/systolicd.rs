@@ -55,10 +55,15 @@
 //! log (one JSON object per finished span, `trace` ids matching the
 //! `trace` field of wire responses) as JSONL on exit. A request line
 //! `{"op": "metrics"}` dumps the registry as one JSON response mid-stream
-//! after flushing every prior request. Exit
+//! after flushing every prior request.
+//!
+//! Input lines are bounded: a line over
+//! [`MAX_LINE_BYTES`](systolic_service::wire::MAX_LINE_BYTES) (1 MiB) is
+//! skipped without being buffered, and it and any line that is not UTF-8
+//! are answered `status: "invalid"` like other malformed lines. Exit
 //! status is 0 when every line was a well-formed request (rejected
-//! analyses still count as served), 2 on usage errors, 1 when some lines
-//! were malformed.
+//! analyses still count as served), 2 on usage errors and I/O failures,
+//! 1 when some lines were malformed.
 //!
 //! A full round trip:
 //!
@@ -70,12 +75,12 @@
 //!     > responses2.jsonl   # instant warm cache, responses say "warm"
 //! ```
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::Path;
 use std::time::Instant;
 
 use systolic_service::daemon::{DaemonCommand, GenOptions, OptionsError, ServeOptions, USAGE};
-use systolic_service::wire::{parse_line, WireRequest, WireResponse};
+use systolic_service::wire::{parse_line, read_line, WireRequest, WireResponse};
 use systolic_service::{AnalysisService, Json, Ticket};
 use systolic_workloads::traffic;
 
@@ -199,16 +204,27 @@ fn serve_main(options: &ServeOptions) {
         }
     };
 
-    for (i, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line.unwrap_or_else(|e| {
-            eprintln!("systolicd: read error: {e}");
-            std::process::exit(2);
-        });
-        if line.trim().is_empty() {
-            continue;
-        }
-        let line_number = i + 1;
-        match parse_line(&line, line_number) {
+    let mut input = BufReader::new(reader);
+    let mut buf = Vec::new();
+    let mut line_number = 0;
+    loop {
+        let line = match read_line(&mut input, &mut buf) {
+            Ok(Some(line)) => line,
+            Ok(None) => break,
+            Err(e) => {
+                eprintln!("systolicd: read error: {e}");
+                std::process::exit(2);
+            }
+        };
+        line_number += 1;
+        let parsed = match line {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => parse_line(text, line_number),
+            // Oversized and non-UTF-8 lines are answered like any other
+            // malformed line; reading goes on with the next one.
+            Err(error) => Err(error),
+        };
+        match parsed {
             Ok(WireRequest::Analysis(request)) => {
                 if inflight.len() >= inflight_limit {
                     drain_one(&mut inflight, &mut out);

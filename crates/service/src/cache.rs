@@ -93,6 +93,20 @@ impl<V> Shard<V> {
     }
 }
 
+/// The shard of `key` among `shards` shards.
+///
+/// Folds the 128-bit fingerprint so both halves count, then mixes the
+/// fold before reducing it. The low bits of a fold are poorly spread:
+/// both `ContentHasher` lanes are `(x ^ b) * odd`, so bit 0 of `hi ^ lo`
+/// is the same for every key, and `fold % 8` alone would only pick odd
+/// shards. Multiplying by an odd constant carries every bit of the fold
+/// into the high half, which is what is reduced.
+fn shard_index(key: u128, shards: usize) -> usize {
+    let folded = (key >> 64) as u64 ^ key as u64;
+    let mixed = folded.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+    (mixed % shards as u64) as usize
+}
+
 /// A concurrent LRU cache split into independently locked shards.
 ///
 /// # Examples
@@ -132,10 +146,7 @@ impl<V: Clone> ShardedCache<V> {
     }
 
     fn shard_of(&self, key: u128) -> &Mutex<Shard<V>> {
-        // Fold the 128-bit fingerprint before reducing mod shard count so
-        // both halves contribute to shard selection.
-        let folded = (key >> 64) as u64 ^ key as u64;
-        &self.shards[(folded % self.shards.len() as u64) as usize]
+        &self.shards[shard_index(key, self.shards.len())]
     }
 
     /// Looks up `key`, bumping its recency and the hit/miss counters.
@@ -276,6 +287,30 @@ mod tests {
     }
 
     #[test]
+    fn request_fingerprints_spread_over_every_shard() {
+        use systolic_core::{request_fingerprint, AnalysisConfig};
+        use systolic_workloads::{fig7, fig7_topology};
+
+        let topology = fig7_topology();
+        let mut counts = [0usize; 8];
+        for reps in 1..=40 {
+            let program = fig7(reps);
+            for queues in 1..=8 {
+                let config = AnalysisConfig {
+                    queues_per_interval: queues,
+                    ..AnalysisConfig::default()
+                };
+                let key = request_fingerprint(&program, &topology, &config);
+                counts[shard_index(key, counts.len())] += 1;
+            }
+        }
+        // 320 keys over 8 shards: 40 each on average. Every shard must
+        // be used, and none may hold more than twice its share.
+        assert!(counts.iter().all(|&n| n > 0), "{counts:?}");
+        assert!(counts.iter().all(|&n| n <= 80), "{counts:?}");
+    }
+
+    #[test]
     fn get_then_insert_then_hit() {
         let c = small(4, 8);
         assert_eq!(c.get(10), None);
@@ -313,12 +348,13 @@ mod tests {
     fn shards_isolate_keys() {
         let c = small(4, 1);
         // With per-shard capacity 1, four keys in distinct shards coexist.
-        let keys: Vec<u128> = (0..4u128).collect();
+        let keys: Vec<u128> = (0..4)
+            .map(|shard| (0u128..).find(|&k| shard_index(k, 4) == shard).unwrap())
+            .collect();
         for &k in &keys {
             c.insert(k, k as u32);
         }
         let resident = keys.iter().filter(|&&k| c.get(k).is_some()).count();
-        // Keys 0..4 fold to shard indices 0..4 distinctly.
         assert_eq!(resident, 4);
         assert_eq!(c.per_shard_stats().len(), 4);
     }

@@ -81,18 +81,7 @@ impl Json {
     ///
     /// Returns [`JsonError`] with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
-        Ok(value)
+        Parser::new(text).document()
     }
 }
 
@@ -119,7 +108,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{item}")?;
+                    fmt::Display::fmt(item, f)?;
                 }
                 f.write_str("]")
             }
@@ -130,7 +119,8 @@ impl fmt::Display for Json {
                         f.write_str(",")?;
                     }
                     write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    f.write_str(":")?;
+                    fmt::Display::fmt(v, f)?;
                 }
                 f.write_str("}")
             }
@@ -138,19 +128,33 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` as a quoted JSON string. Runs of bytes that need no escape
+/// go out in one `write_str`; the escapes are `\"`, `\\`, `\n`, `\r`,
+/// `\t` and lowercase `\u00xx` for the other control characters below
+/// U+0020. Everything else, U+007F and non-ASCII included, is written
+/// as is. Every byte that needs an escape is ASCII, so each run ends on a
+/// char boundary.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run_start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        f.write_str(&s[run_start..i])?;
+        match short {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{b:04x}")?,
         }
+        run_start = i + 1;
     }
+    f.write_str(&s[run_start..])?;
     f.write_str("\"")
 }
 
@@ -177,12 +181,36 @@ impl std::error::Error for JsonError {}
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// Input bytes examined so far. Test builds only: the linear-time
+    /// tests assert on this work count rather than on wall-clock time.
+    #[cfg(test)]
+    examined: core::cell::Cell<usize>,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            #[cfg(test)]
+            examined: core::cell::Cell::new(0),
+        }
+    }
+
+    /// Records that `n` more input bytes were examined (a no-op outside
+    /// test builds).
+    #[inline]
+    fn tally(&self, _n: usize) {
+        #[cfg(test)]
+        self.examined.set(self.examined.get() + _n);
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             pos: self.pos,
@@ -191,7 +219,19 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
+        self.tally(1);
         self.bytes.get(self.pos).copied()
+    }
+
+    /// One whole document: a value, optionally surrounded by whitespace.
+    fn document(&mut self) -> Result<Json, JsonError> {
+        self.skip_ws();
+        let value = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(value)
     }
 
     fn skip_ws(&mut self) {
@@ -210,6 +250,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+        self.tally(word.len());
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -298,6 +339,17 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // in one slice. Those stop bytes are ASCII, so the run ends on
+            // a char boundary of `text`.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+                .unwrap_or(self.bytes.len() - start);
+            self.tally(run);
+            self.pos += run;
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -316,6 +368,7 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
+                            self.tally(4);
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
@@ -334,18 +387,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 encoded character (input is &str,
-                    // so boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty"); // lint: panic-ok(rest is non-empty: peek() returned Some)
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }
@@ -387,6 +429,99 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Input bytes the parser examines while parsing `text`.
+    fn work(text: &str) -> usize {
+        let mut parser = Parser::new(text);
+        parser.document().expect("valid JSON");
+        parser.examined.get()
+    }
+
+    /// The per-character escaper the run-copy encoder replaced, kept as
+    /// the reference its output must match byte for byte.
+    fn reference_escaped(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Characters the codec treats differently: every control character,
+    /// the two characters that always need an escape, `/` (escaped only
+    /// on input), DEL and multi-byte characters of every UTF-8 length.
+    fn tricky_chars() -> Vec<char> {
+        let mut chars: Vec<char> = (0u8..0x20).map(char::from).collect();
+        chars.extend([
+            '"', '\\', '/', '\u{7f}', 'a', ' ', 'é', '€', '\u{2028}', '😀',
+        ]);
+        chars
+    }
+
+    /// A string of `len` characters drawn from `alphabet` by a seeded
+    /// xorshift generator.
+    fn seeded_string(alphabet: &[char], mut seed: u64, len: usize) -> String {
+        (0..len)
+            .map(|_| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                alphabet[(seed % alphabet.len() as u64) as usize]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn string_decoding_work_is_linear() {
+        let plain: Vec<char> = ('a'..='z').chain('0'..='9').collect();
+        let escapes = tricky_chars();
+        let multibyte = ['é', '€', '😀', 'x'];
+        for alphabet in [&plain[..], &escapes[..], &multibyte[..]] {
+            let cost = |chars: usize| {
+                let text = Json::Str(seeded_string(alphabet, 0x5eed, chars)).to_string();
+                let examined = work(&text);
+                // Each input byte is examined a bounded number of times.
+                assert!(
+                    examined <= 2 * text.len() + 8,
+                    "{examined} for {}",
+                    text.len()
+                );
+                examined
+            };
+            let (short, long) = (cost(10_000), cost(80_000));
+            assert!(
+                long <= 10 * short,
+                "8x the characters cost {long} vs {short} bytes examined"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn strings_roundtrip_and_render_like_the_reference(
+            parts in (any::<u64>(), 0usize..80)
+        ) {
+            let (seed, len) = parts;
+            let s = seeded_string(&tricky_chars(), seed | 1, len);
+            let rendered = Json::Str(s.clone()).to_string();
+            prop_assert_eq!(&rendered, &reference_escaped(&s));
+            prop_assert_eq!(Json::parse(&rendered), Ok(Json::Str(s.clone())));
+            // Object keys go through the same escaper.
+            let object = Json::Obj(vec![(s.clone(), Json::Str(s.clone()))]);
+            let expected = format!("{{{}:{}}}", reference_escaped(&s), reference_escaped(&s));
+            prop_assert_eq!(object.to_string(), expected);
+        }
+    }
 
     #[test]
     fn parses_scalars() {

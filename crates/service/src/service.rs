@@ -3102,6 +3102,46 @@ mod tests {
     }
 
     #[test]
+    fn thousand_plan_snapshot_roundtrip_evicts_nothing() {
+        // 1000 distinct requests fit the default 8 x 256 plan cache only
+        // if every shard takes its share of the fingerprints.
+        let working_set = || -> Vec<AnalysisRequest> {
+            (1..=40)
+                .flat_map(|reps| {
+                    (1..=25).map(move |queues| {
+                        let mut request = AnalysisRequest::new(
+                            format!("fig7x{reps}q{queues}"),
+                            fig7(reps),
+                            fig7_topology(),
+                        );
+                        request.config.queues_per_interval = queues;
+                        request
+                    })
+                })
+                .collect()
+        };
+        let warm_source = AnalysisService::new(ServiceConfig::default());
+        let _ = warm_source.run_batch(working_set());
+        assert_eq!(warm_source.cache_entries(), 1000);
+        let bytes = warm_source.export_snapshot();
+
+        let restarted = AnalysisService::new(ServiceConfig::default());
+        let report = restarted.import_snapshot(&bytes).expect("snapshot loads");
+        assert_eq!(
+            (report.plans, report.seeds, report.dropped),
+            (1000, 1000, 0)
+        );
+        assert_eq!(restarted.cache_entries(), 1000);
+        let replayed = restarted.run_batch(working_set());
+        let cold: Vec<&str> = replayed
+            .iter()
+            .filter(|r| r.provenance != CacheProvenance::Warm)
+            .map(|r| r.name.as_str())
+            .collect();
+        assert!(cold.is_empty(), "plans lost to eviction: {cold:?}");
+    }
+
+    #[test]
     fn save_and_load_roundtrip_via_files() {
         let path = std::env::temp_dir().join(format!(
             "systolic-snapshot-test-{}-{:?}.snap",

@@ -71,10 +71,17 @@
 //!                   "messages": [0, 1], "cells": [0, 1]}]}
 //! ```
 //!
+//! Lines are read by [`read_line`]: one line may hold at most
+//! [`MAX_LINE_BYTES`] bytes and must be UTF-8. A line that breaks either
+//! rule is answered `status: "invalid"` like any malformed line, and
+//! reading goes on with the next line.
+//!
 //! `code` is a stable machine-readable
 //! [`DiagnosticCode`](systolic_core::DiagnosticCode) string; `messages` and
 //! `cells` are the offending message/cell ids (declaration order indexes),
 //! present only when non-empty.
+
+use std::io::{self, BufRead, Read};
 
 use systolic_core::{codec, Diagnostic, Lookahead, LookaheadLimits};
 use systolic_model::{parse_program, program_to_text, ModelError, Topology};
@@ -95,6 +102,17 @@ pub enum WireError {
     Model(ModelError),
     /// A field is missing or has the wrong shape.
     Field(String),
+    /// The line is longer than [`MAX_LINE_BYTES`]; [`read_line`] skipped
+    /// it without buffering it.
+    LineTooLong {
+        /// The line's length in bytes, its `\n` excluded.
+        bytes: usize,
+    },
+    /// The line is not valid UTF-8.
+    NotUtf8 {
+        /// Byte offset of the first invalid sequence in the line.
+        valid_up_to: usize,
+    },
 }
 
 impl core::fmt::Display for WireError {
@@ -103,6 +121,14 @@ impl core::fmt::Display for WireError {
             WireError::Json(e) => write!(f, "{e}"),
             WireError::Model(e) => write!(f, "{e}"),
             WireError::Field(msg) => write!(f, "{msg}"),
+            WireError::LineTooLong { bytes } => write!(
+                f,
+                "line is {bytes} bytes, over the limit of {MAX_LINE_BYTES} bytes"
+            ),
+            WireError::NotUtf8 { valid_up_to } => write!(
+                f,
+                "line is not valid UTF-8 (invalid byte sequence at byte {valid_up_to})"
+            ),
         }
     }
 }
@@ -118,6 +144,76 @@ impl From<JsonError> for WireError {
 impl From<ModelError> for WireError {
     fn from(e: ModelError) -> Self {
         WireError::Model(e)
+    }
+}
+
+/// The longest line [`read_line`] accepts, in bytes before its `\n`:
+/// 1 MiB, over 300 times the longest request line of the benchmark
+/// workloads.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Reads the next line of a JSONL stream into `buf` (cleared first) and
+/// strips its `\n` or `\r\n`. Returns `Ok(None)` at end of input.
+///
+/// The read is bounded and never fails on content. A line over
+/// [`MAX_LINE_BYTES`] is skipped up to its `\n` without being buffered
+/// and comes back as [`WireError::LineTooLong`]; a line that is not UTF-8
+/// comes back as [`WireError::NotUtf8`]. Either way the next call reads
+/// the following line. `buf` is reused across calls, so a stream of lines
+/// costs no allocation per line.
+///
+/// # Errors
+///
+/// Returns the I/O errors of `reader`.
+pub fn read_line<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Result<&'b str, WireError>>> {
+    buf.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if (&mut *reader).take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        let bytes = buf.len() + skip_line(reader)?;
+        return Ok(Some(Err(WireError::LineTooLong { bytes })));
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|e| {
+        WireError::NotUtf8 {
+            valid_up_to: e.valid_up_to(),
+        }
+    })))
+}
+
+/// Consumes input up to and including the next `\n` (or to end of input)
+/// without keeping it; returns the number of bytes before the `\n`.
+fn skip_line(reader: &mut impl BufRead) -> io::Result<usize> {
+    let mut skipped = 0;
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(skipped);
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return Ok(skipped + i);
+            }
+            None => {
+                let n = chunk.len();
+                reader.consume(n);
+                skipped += n;
+            }
+        }
     }
 }
 
@@ -174,7 +270,12 @@ fn parse_lookahead(value: Option<&Json>) -> Result<Lookahead, WireError> {
 /// Returns [`WireError`] for malformed JSON, missing fields, or invalid
 /// embedded program/topology text.
 pub fn parse_request(line: &str, line_number: usize) -> Result<AnalysisRequest, WireError> {
-    let value = Json::parse(line)?;
+    parse_request_value(&Json::parse(line)?, line_number)
+}
+
+/// [`parse_request`] on an already-parsed line, so [`parse_line`] decodes
+/// each line's JSON once.
+fn parse_request_value(value: &Json, line_number: usize) -> Result<AnalysisRequest, WireError> {
     if !matches!(value, Json::Obj(_)) {
         return Err(WireError::Field(
             "request line must be a JSON object".into(),
@@ -276,8 +377,8 @@ pub fn parse_line(line: &str, line_number: usize) -> Result<WireRequest, WireErr
         Some(other) => Err(WireError::Field(format!(
             "unknown op {other:?} (expected \"metrics\", \"stats\", \"edit\" or \"snapshot\")"
         ))),
-        None => Ok(WireRequest::Analysis(Box::new(parse_request(
-            line,
+        None => Ok(WireRequest::Analysis(Box::new(parse_request_value(
+            &value,
             line_number,
         )?))),
     }
@@ -993,6 +1094,72 @@ mod tests {
         .to_json();
         assert_eq!(json.get("status").and_then(Json::as_str), Some("invalid"));
         assert_eq!(json.get("id").and_then(Json::as_str), Some("line-3"));
+    }
+
+    /// Every line [`read_line`] yields for `input`, owned, plus the
+    /// largest capacity its reused buffer reached.
+    fn read_all(input: &[u8]) -> (Vec<Result<String, WireError>>, usize) {
+        let mut reader = input;
+        let mut buf = Vec::new();
+        let mut lines = Vec::new();
+        while let Some(line) = read_line(&mut reader, &mut buf).unwrap() {
+            lines.push(line.map(str::to_owned));
+        }
+        (lines, buf.capacity())
+    }
+
+    #[test]
+    fn read_line_strips_terminators_and_keeps_blank_lines() {
+        let (lines, _) = read_all(b"a\nb\r\n\n \nlast");
+        let expected = ["a", "b", "", " ", "last"].map(|l| Ok(l.to_owned()));
+        assert_eq!(lines, expected);
+        assert!(read_all(b"").0.is_empty());
+    }
+
+    #[test]
+    fn read_line_skips_oversized_lines_without_buffering_them() {
+        let mut input = vec![b'x'; MAX_LINE_BYTES];
+        input.push(b'\n');
+        input.extend(vec![b'y'; MAX_LINE_BYTES + 1]);
+        input.extend(b"\nafter\n");
+        // An oversized last line with no newline at all.
+        input.extend(vec![b'z'; 8 * MAX_LINE_BYTES]);
+        let (lines, capacity) = read_all(&input);
+        assert_eq!(lines.len(), 4);
+        assert_eq!(lines[0].as_ref().map(String::len), Ok(MAX_LINE_BYTES));
+        assert_eq!(
+            lines[1],
+            Err(WireError::LineTooLong {
+                bytes: MAX_LINE_BYTES + 1
+            })
+        );
+        assert_eq!(lines[2], Ok("after".to_owned()));
+        assert_eq!(
+            lines[3],
+            Err(WireError::LineTooLong {
+                bytes: 8 * MAX_LINE_BYTES
+            })
+        );
+        assert!(capacity <= 2 * (MAX_LINE_BYTES + 1), "buffered {capacity}");
+        let error = lines[1].clone().unwrap_err();
+        let json = WireResponse::Invalid {
+            line_number: 2,
+            error: &error,
+        }
+        .to_json();
+        assert_eq!(json.get("status").and_then(Json::as_str), Some("invalid"));
+        assert_eq!(
+            json.get("error").and_then(Json::as_str),
+            Some("line is 1048577 bytes, over the limit of 1048576 bytes")
+        );
+    }
+
+    #[test]
+    fn read_line_reports_invalid_utf8_and_reads_on() {
+        let (lines, _) = read_all(b"{\"id\":\"ok\"}\n{\"id\":\"bad\xff\"}\nnext\n");
+        assert_eq!(lines[0], Ok(r#"{"id":"ok"}"#.to_owned()));
+        assert_eq!(lines[1], Err(WireError::NotUtf8 { valid_up_to: 10 }));
+        assert_eq!(lines[2], Ok("next".to_owned()));
     }
 
     #[test]
