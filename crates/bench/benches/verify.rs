@@ -4,19 +4,19 @@
 //!    arena (`verify_batch_compiled`) must beat per-run setup
 //!    (`verify_plan` in a loop, which routes every message and builds
 //!    fresh queue pools per call) by ≥ 1.5×.
-//! 2. **Parallel pool** (PR 5): fanning a 256-plan batch over a
-//!    [`VerifyPool`] of 4 arenas must beat the sequential
+//! 2. **Parallel fan-out**: fanning a 256-plan one-topology batch over a
+//!    4-thread [`VerifyScheduler`] (one arena per worker,
+//!    `ArenaBudget::Fixed(1)`) must beat the sequential
 //!    `verify_batch_compiled` by ≥ 2× — on hardware with ≥ 4 cores. The
 //!    asserted floor scales down with `available_parallelism` (a 1-core
-//!    runner can only assert that the pool's coordination overhead is
+//!    runner can only assert that the fan-out's coordination overhead is
 //!    bounded), and the actual core count is recorded alongside the
 //!    ratio.
-//! 3. **Mixed-topology scheduler** (PR 6): one persistent
-//!    [`VerifyScheduler`] fanning an interleaved mesh+torus 256-plan
-//!    batch out in a single heterogeneous dispatch must at least match
-//!    splitting the batch by topology into per-topology [`VerifyPool`]s
-//!    rebuilt per call (the pre-scheduler service shape, which pays cold
-//!    arenas and one fan-out per topology every time).
+//! 3. **Mixed-topology scheduler**: one persistent [`VerifyScheduler`]
+//!    fanning an interleaved mesh+torus 256-plan batch out in a single
+//!    heterogeneous dispatch must at least match splitting the batch by
+//!    topology into per-topology schedulers rebuilt per call (which pays
+//!    cold arenas and one fan-out per topology every time).
 //!
 //! All ratios are measured explicitly, asserted, and recorded in
 //! `BENCH_verify.json` at the workspace root.
@@ -34,8 +34,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use systolic_core::{AnalysisConfig, Analyzer, CommPlan, CompiledTopology};
 use systolic_model::{CellId, Program, ProgramBuilder, Topology};
 use systolic_sim::{
-    verify_batch_compiled, verify_plan, ArenaBudget, SimConfig, VerifyPool, VerifyReport,
-    VerifyScheduler,
+    verify_batch_compiled, verify_plan, ArenaBudget, SimConfig, VerifyReport, VerifyScheduler,
 };
 
 const BATCH: usize = 64;
@@ -157,15 +156,20 @@ fn run_shared_arena(batch: &Batch) -> Vec<VerifyReport> {
     .expect("setup succeeds")
 }
 
-fn run_pool(pool: &mut VerifyPool, batch: &Batch) -> Vec<VerifyReport> {
+fn run_parallel(scheduler: &mut VerifyScheduler, batch: &Batch) -> Vec<VerifyReport> {
     // N arenas, work-stealing over the batch, reports in input order.
-    pool.verify_batch(batch.items.iter().map(|(p, plan)| (p, plan)))
+    scheduler
+        .verify_batch(
+            batch
+                .items
+                .iter()
+                .map(|(p, plan)| (p, &batch.compiled, plan)),
+        )
         .expect("setup succeeds")
 }
 
-/// An interleaved mesh/torus batch — the service shape the scheduler was
-/// built for: one coalescing window holding chases against several
-/// topologies at once.
+/// An interleaved mesh/torus batch: one fan-out holding plans against
+/// several topologies at once.
 type MixedItem = (Program, Arc<CompiledTopology>, Arc<CommPlan>);
 
 struct MixedBatch {
@@ -214,10 +218,10 @@ fn mixed_batch(size: usize) -> MixedBatch {
     }
 }
 
-/// The pre-scheduler service shape: split the window by topology, build a
-/// fresh per-topology [`VerifyPool`] each call (cold arenas), fan out once
-/// per topology, and scatter the reports back to input order.
-fn run_per_topology_pools(batch: &MixedBatch) -> Vec<VerifyReport> {
+/// The split baseline: divide the window by topology, build a fresh
+/// per-topology scheduler each call (cold arenas), fan out once per
+/// topology, and scatter the reports back to input order.
+fn run_per_topology_schedulers(batch: &MixedBatch) -> Vec<VerifyReport> {
     let mut groups: Vec<(u128, Vec<usize>)> = Vec::new();
     for (i, (_, compiled, _)) in batch.items.iter().enumerate() {
         let key = compiled.fingerprint();
@@ -228,12 +232,11 @@ fn run_per_topology_pools(batch: &MixedBatch) -> Vec<VerifyReport> {
     }
     let mut reports: Vec<Option<VerifyReport>> = (0..batch.items.len()).map(|_| None).collect();
     for (_, indices) in &groups {
-        let compiled = Arc::clone(&batch.items[indices[0]].1);
-        let mut pool = VerifyPool::from_compiled(compiled, batch.sim, MIXED_THREADS);
-        let group_reports = pool
+        let mut scheduler = VerifyScheduler::new(batch.sim, MIXED_THREADS, ArenaBudget::Fixed(1));
+        let group_reports = scheduler
             .verify_batch(indices.iter().map(|&i| {
-                let (program, _, plan) = &batch.items[i];
-                (program, plan)
+                let (program, compiled, plan) = &batch.items[i];
+                (program, compiled, plan)
             }))
             .expect("setup succeeds");
         for (&i, report) in indices.iter().zip(group_reports) {
@@ -268,17 +271,16 @@ fn bench_verify(c: &mut Criterion) {
 
 fn bench_parallel_verify(c: &mut Criterion) {
     let batch = certified_batch(PARALLEL_BATCH);
-    let mut pool =
-        VerifyPool::from_compiled(Arc::clone(&batch.compiled), batch.sim, PARALLEL_THREADS);
+    let mut scheduler = VerifyScheduler::new(batch.sim, PARALLEL_THREADS, ArenaBudget::Fixed(1));
     let mut group = c.benchmark_group("parallel_verify");
     group.sample_size(10);
     group.bench_function(format!("sequential_arena_batch{PARALLEL_BATCH}"), |b| {
         b.iter(|| run_shared_arena(std::hint::black_box(&batch)));
     });
     group.bench_function(
-        format!("pool{PARALLEL_THREADS}_batch{PARALLEL_BATCH}"),
+        format!("parallel{PARALLEL_THREADS}_batch{PARALLEL_BATCH}"),
         |b| {
-            b.iter(|| run_pool(&mut pool, std::hint::black_box(&batch)));
+            b.iter(|| run_parallel(&mut scheduler, std::hint::black_box(&batch)));
         },
     );
     group.finish();
@@ -290,9 +292,9 @@ fn bench_mixed_verify(c: &mut Criterion) {
     let mut group = c.benchmark_group("mixed_topology_verify");
     group.sample_size(10);
     group.bench_function(
-        format!("per_topology_pools{MIXED_THREADS}_batch{MIXED_BATCH}"),
+        format!("per_topology_schedulers{MIXED_THREADS}_batch{MIXED_BATCH}"),
         |b| {
-            b.iter(|| run_per_topology_pools(std::hint::black_box(&batch)));
+            b.iter(|| run_per_topology_schedulers(std::hint::black_box(&batch)));
         },
     );
     group.bench_function(
@@ -346,9 +348,9 @@ fn verify_acceptance_ratios(_c: &mut Criterion) {
          shared {shared_time:>12?}   ratio {shared_ratio:>6.1}x (target >= {shared_target}x)"
     );
 
-    // ---- Parallel pool vs sequential arena (256-plan batch). ----
+    // ---- Parallel fan-out vs sequential arena (256-plan batch). ----
     // The 2x acceptance floor presumes >= 4 cores (GitHub's standard
-    // runners); fewer cores can at most assert the pool's coordination
+    // runners); fewer cores can at most assert the fan-out's coordination
     // overhead is bounded, so the floor degrades with the hardware and
     // the JSON records how many threads the ratio was measured on.
     let parallel_batch = certified_batch(PARALLEL_BATCH);
@@ -358,33 +360,31 @@ fn verify_acceptance_ratios(_c: &mut Criterion) {
         (false, hw) if hw >= 4 => 2.0,
         (false, _) => 1.2,
     };
-    let mut pool = VerifyPool::from_compiled(
-        Arc::clone(&parallel_batch.compiled),
-        parallel_batch.sim,
-        PARALLEL_THREADS,
-    );
+    let mut scheduler =
+        VerifyScheduler::new(parallel_batch.sim, PARALLEL_THREADS, ArenaBudget::Fixed(1));
 
-    // Parity again: the pool must be byte-identical to the sequential
+    // Parity again: the fan-out must be byte-identical to the sequential
     // path, reports in input order.
     let sequential = run_shared_arena(&parallel_batch);
-    let pooled = run_pool(&mut pool, &parallel_batch);
+    let fanned = run_parallel(&mut scheduler, &parallel_batch);
     assert_eq!(
-        pooled, sequential,
-        "pool must match sequential reports in order"
+        fanned, sequential,
+        "fan-out must match sequential reports in order"
     );
 
     let sequential_time = min_time(rounds, || run_shared_arena(&parallel_batch));
-    let pool_time = min_time(rounds, || run_pool(&mut pool, &parallel_batch));
-    let parallel_ratio = sequential_time.as_secs_f64() / pool_time.as_secs_f64().max(f64::EPSILON);
+    let parallel_time = min_time(rounds, || run_parallel(&mut scheduler, &parallel_batch));
+    let parallel_ratio =
+        sequential_time.as_secs_f64() / parallel_time.as_secs_f64().max(f64::EPSILON);
     println!(
-        "verify_pool{PARALLEL_THREADS}_vs_sequential              seq {sequential_time:>12?}   \
-         pool {pool_time:>12?}   ratio {parallel_ratio:>6.1}x \
+        "verify_parallel{PARALLEL_THREADS}_vs_sequential          seq {sequential_time:>12?}   \
+         par {parallel_time:>12?}   ratio {parallel_ratio:>6.1}x \
          (target >= {parallel_target}x on {hw_threads} hw threads)"
     );
 
-    // ---- Mixed-topology scheduler vs per-topology pools (PR 6). ----
+    // ---- Mixed-topology scheduler vs per-topology schedulers. ----
     // The baseline splits each interleaved window by topology and rebuilds
-    // a cold per-topology pool every call; the persistent scheduler keeps
+    // a cold per-topology scheduler every call; the persistent scheduler keeps
     // its arenas warm and dispatches the whole window in one fan-out. On a
     // 1-core or quick run the floor only bounds coordination overhead; a
     // full multi-core run must show the scheduler at least breaking even.
@@ -394,18 +394,18 @@ fn verify_acceptance_ratios(_c: &mut Criterion) {
 
     // Parity: the heterogeneous fan-out must be byte-identical to the
     // split-by-topology reference, reports in input order.
-    let split = run_per_topology_pools(&mixed);
+    let split = run_per_topology_schedulers(&mixed);
     let scheduled = run_scheduler(&mut scheduler, &mixed);
     assert_eq!(
         scheduled, split,
-        "scheduler must match per-topology pools in input order"
+        "scheduler must match per-topology schedulers in input order"
     );
 
-    let split_time = min_time(rounds, || run_per_topology_pools(&mixed));
+    let split_time = min_time(rounds, || run_per_topology_schedulers(&mixed));
     let scheduler_time = min_time(rounds, || run_scheduler(&mut scheduler, &mixed));
     let mixed_ratio = split_time.as_secs_f64() / scheduler_time.as_secs_f64().max(f64::EPSILON);
     println!(
-        "verify_scheduler{MIXED_THREADS}_vs_split_pools       split {split_time:>12?}   \
+        "verify_scheduler{MIXED_THREADS}_vs_split_schedulers  split {split_time:>12?}   \
          sched {scheduler_time:>12?}   ratio {mixed_ratio:>6.1}x \
          (target >= {mixed_target}x on {hw_threads} hw threads)"
     );
@@ -426,7 +426,7 @@ fn verify_acceptance_ratios(_c: &mut Criterion) {
         shared_time.as_secs_f64(),
         shared_ratio,
         sequential_time.as_secs_f64(),
-        pool_time.as_secs_f64(),
+        parallel_time.as_secs_f64(),
         parallel_ratio,
         split_time.as_secs_f64(),
         scheduler_time.as_secs_f64(),
@@ -444,14 +444,14 @@ fn verify_acceptance_ratios(_c: &mut Criterion) {
     );
     assert!(
         parallel_ratio >= parallel_target,
-        "a {PARALLEL_THREADS}-thread VerifyPool must measure at least {parallel_target}x \
+        "a {PARALLEL_THREADS}-thread one-topology fan-out must measure at least {parallel_target}x \
          the sequential arena over a {PARALLEL_BATCH}-plan batch on {hw_threads} hw \
          threads, measured {parallel_ratio:.2}x"
     );
     assert!(
         mixed_ratio >= mixed_target,
         "one {MIXED_THREADS}-thread VerifyScheduler fan-out must measure at least \
-         {mixed_target}x the split-by-topology pools over a {MIXED_BATCH}-plan mixed \
+         {mixed_target}x the split-by-topology schedulers over a {MIXED_BATCH}-plan mixed \
          batch on {hw_threads} hw threads, measured {mixed_ratio:.2}x"
     );
 }

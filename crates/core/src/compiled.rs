@@ -1,8 +1,8 @@
 //! Precompiled topologies: compile once, analyze many programs.
 //!
-//! Every call to the legacy [`analyze`](crate::analyze) re-derives
-//! per-topology state — routes (a BFS per message on graph topologies),
-//! lookahead budgets, the request fingerprint's topology component. A
+//! Analyzing a program needs per-topology state — routes (a BFS per
+//! message on graph topologies), lookahead budgets, the request
+//! fingerprint's topology component. A
 //! [`CompiledTopology`] hoists that work out of the per-program loop:
 //!
 //! * the **route closure** — for search-routed (graph) topologies up to

@@ -1,6 +1,6 @@
 //! Structured analysis diagnostics.
 //!
-//! The legacy [`analyze`](crate::analyze) entry point reports failure as a
+//! [`Analyzer::analyze`](crate::Analyzer::analyze) reports failure as a
 //! single [`CoreError`] — fine for a library caller, useless for a client
 //! on the other side of the `systolicd` wire who wants to know *which*
 //! messages deadlocked or *which* interval is short of queues. The

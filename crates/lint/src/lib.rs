@@ -6,14 +6,13 @@
 //! real hand-rolled concurrency — a work-stealing verify scheduler, a
 //! lock-free metrics registry, bounded-queue hand-offs — and this crate
 //! holds that code to the same standard. It is a dependency-free,
-//! token-level static-analysis engine with four rules:
+//! token-level static-analysis engine with three rules:
 //!
 //! | code | checks |
 //! |------|--------|
 //! | `L-LOCK-CYCLE` | global lock acquisition-order graph has no cycles |
 //! | `L-ATOMIC-ORDER` | atomic ops name an `Ordering`; `Relaxed` is justified |
 //! | `L-PANIC-PATH` | no unjustified `unwrap`/`expect`/`panic!` on the serving path |
-//! | `L-LEGACY-ANALYZE` | no direct calls to the legacy `analyze()` wrapper |
 //!
 //! Rule codes are stable and mirror the analyzer's `E-*` diagnostic
 //! style; findings are suppressed either by in-source annotations
@@ -122,7 +121,7 @@ impl Sink {
 /// * call [`Sink::suppressed`] when an in-source annotation silences a
 ///   would-be finding, so suppressions stay countable;
 /// * skip tokens marked `test` unless the rule explicitly audits test
-///   code (see `L-LEGACY-ANALYZE` for a rule that does);
+///   code;
 /// * keep the code stable — it is the contract CI configs and
 ///   `lint.toml` sections key on.
 pub trait Rule {
@@ -248,32 +247,6 @@ pub fn load_config(root: &Path) -> Result<Config, String> {
         Ok(text) => Config::parse(&text),
         Err(_) => Ok(Config::default()),
     }
-}
-
-/// Runs a single rule over the workspace at `root` and panics with the
-/// findings if any survive — the one-line form integration tests use:
-///
-/// ```no_run
-/// systolic_lint::assert_rule_clean(env!("CARGO_MANIFEST_DIR"), "L-LEGACY-ANALYZE");
-/// ```
-///
-/// # Panics
-///
-/// Panics listing every finding when the tree is not clean for `code`,
-/// and on configuration errors.
-pub fn assert_rule_clean(root: impl AsRef<Path>, code: &str) {
-    let root = root.as_ref();
-    let config = load_config(root).expect("lint.toml parses");
-    let mut engine = Engine::new(config);
-    engine.retain_rules(&[code]);
-    let report = engine.run(root).expect("workspace scan succeeds");
-    assert!(report.files > 0, "scan found no files — wrong root?");
-    let rendered: Vec<String> = report.findings.iter().map(ToString::to_string).collect();
-    assert!(
-        report.clean(),
-        "`{code}` findings in the workspace:\n{}",
-        rendered.join("\n")
-    );
 }
 
 fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) {

@@ -91,8 +91,6 @@ pub mod names {
     pub const SERVICE_HANDLE_DURATION: &str = "systolic_service_handle_duration_micros";
     /// Gauge: submitted-but-unclaimed requests in the worker queue.
     pub const SERVICE_QUEUE_DEPTH: &str = "systolic_service_queue_depth";
-    /// Gauge: size of the most recent coalesced verify window.
-    pub const SERVICE_COALESCED_WINDOW: &str = "systolic_service_coalesced_window";
     /// Gauge: plan-cache hits (mirrored from the sharded cache).
     pub const PLAN_CACHE_HITS: &str = "systolic_plan_cache_hits";
     /// Gauge: plan-cache misses (mirrored from the sharded cache).

@@ -3,7 +3,7 @@
 //! ```text
 //! systolicd gen   --count 1000 [--seed 42] [--hot-percent 50]
 //! systolicd serve [FILE] [--workers 4] [--shards 8] [--capacity 256]
-//!                 [--queue-depth 64] [--verify] [--verify-threads N]
+//!                 [--queue-depth 64] [--verify]
 //!                 [--arena-cache-cap N] [--arena-mem-budget BYTES]
 //!                 [--session-cap N] [--incremental-fallback-ratio R]
 //!                 [--snapshot-load PATH] [--snapshot-save PATH]
@@ -18,16 +18,14 @@
 //! reads request lines from FILE (or stdin), drives them through the
 //! service with bounded backpressure, and streams one JSON response per
 //! line to stdout in request order; `--verify` chases every certified
-//! miss with a simulator replay, and `--verify-threads N` coalesces those
-//! chases into batched fan-outs through a cross-topology verify scheduler
-//! with `N` workers instead of running them inline in the analysis
-//! workers. Warm-arena caches (inline per worker, or per scheduler
-//! worker) are sized by `--arena-cache-cap N` (arenas per cache; `0`
-//! sizes automatically from the number of distinct topologies observed)
-//! or `--arena-mem-budget BYTES` (approximate bytes per cache, which
-//! takes precedence); `--summary` prints a throughput/latency/cache table
-//! — including arena-cache counters, scheduler fan-out depths, and a
-//! per-topology verified/blocked breakdown — to stderr.
+//! miss with a simulator replay, inline in the analysis worker (so
+//! `--workers` sets the verify parallelism). Each worker's warm-arena
+//! cache is sized by `--arena-cache-cap N` (arenas per cache; `0` sizes
+//! automatically from the number of distinct topologies observed) or
+//! `--arena-mem-budget BYTES` (approximate bytes per cache, which takes
+//! precedence); `--summary` prints a throughput/latency/cache table —
+//! including arena-cache counters and a per-topology verified/blocked
+//! breakdown — to stderr.
 //!
 //! Incremental edits: a request line `{"op": "edit", "base": "0x...",
 //! "ops": [...]}` reanalyzes an earlier program (named by its response
@@ -378,16 +376,6 @@ fn serve_main(options: &ServeOptions) {
                 Json::Num(snapshot.gauge_value(systolic_obs::names::HW_THREADS, &[]) as f64),
             ),
         ];
-        if let Some(scheduler) = &stats.scheduler {
-            members.push((
-                "scheduler_fanouts".to_owned(),
-                Json::Num(scheduler.fanouts as f64),
-            ));
-            members.push((
-                "scheduler_items".to_owned(),
-                Json::Num(scheduler.items as f64),
-            ));
-        }
         let snap = stats.snapshot;
         if snap.loads + snap.saves + snap.load_rejected > 0 {
             members.push(("snapshot_loads".to_owned(), Json::Num(snap.loads as f64)));

@@ -24,7 +24,7 @@ use crate::{CacheConfig, ServiceConfig};
 /// Usage text printed on malformed invocations (exit status 2).
 pub const USAGE: &str = "usage:\n  systolicd gen --count N [--seed S] [--hot-percent P]\n  \
      systolicd serve [FILE] [--workers N] [--shards N] [--capacity N] \
-     [--queue-depth N] [--verify] [--verify-threads N] \
+     [--queue-depth N] [--verify] \
      [--arena-cache-cap N] [--arena-mem-budget BYTES] \
      [--session-cap N] [--incremental-fallback-ratio R] \
      [--snapshot-load PATH] [--snapshot-save PATH] [--snapshot-every N] \
@@ -152,8 +152,8 @@ impl GenOptions {
 pub struct ServeOptions {
     /// Service shape assembled from the tuning flags (`--workers`,
     /// `--shards`, `--capacity`, `--queue-depth`, `--verify`,
-    /// `--verify-threads`, `--arena-cache-cap`, `--arena-mem-budget`,
-    /// `--session-cap`, `--incremental-fallback-ratio`).
+    /// `--arena-cache-cap`, `--arena-mem-budget`, `--session-cap`,
+    /// `--incremental-fallback-ratio`).
     pub service: ServiceConfig,
     /// `--summary`: print the stats table to stderr on exit.
     pub summary: bool,
@@ -208,9 +208,6 @@ impl ServeOptions {
                     config.queue_depth = take_value(&mut iter, "--queue-depth")?.max(1);
                 }
                 "--verify" => config.verify = true,
-                "--verify-threads" => {
-                    config.verify_threads = take_value(&mut iter, "--verify-threads")?;
-                }
                 "--arena-cache-cap" => {
                     // 0 means "size automatically from observed topologies".
                     config.arena_cache_capacity = take_value(&mut iter, "--arena-cache-cap")?;
@@ -379,8 +376,6 @@ mod tests {
             "--queue-depth",
             "128",
             "--verify",
-            "--verify-threads",
-            "3",
             "--arena-cache-cap",
             "9",
             "--arena-mem-budget",
@@ -408,7 +403,6 @@ mod tests {
         assert_eq!(options.service.cache.capacity_per_shard, 512);
         assert_eq!(options.service.queue_depth, 128);
         assert!(options.service.verify);
-        assert_eq!(options.service.verify_threads, 3);
         assert_eq!(options.service.arena_cache_capacity, 9);
         assert_eq!(options.service.arena_mem_budget, Some(4096));
         assert_eq!(options.service.session_capacity, 32);
@@ -453,7 +447,6 @@ mod tests {
             "--shards",
             "--capacity",
             "--queue-depth",
-            "--verify-threads",
             "--arena-cache-cap",
             "--arena-mem-budget",
             "--session-cap",
@@ -553,6 +546,10 @@ mod tests {
         );
         assert_eq!(
             parse(&["serve", "--frobnicate"]).unwrap_err(),
+            OptionsError::Usage
+        );
+        assert_eq!(
+            parse(&["serve", "--verify-threads", "2"]).unwrap_err(),
             OptionsError::Usage
         );
         assert_eq!(

@@ -1,7 +1,7 @@
 //! A sharded, cached, batch analysis service for systolic deadlock
 //! avoidance.
 //!
-//! The analysis pipeline (`systolic_core::analyze`) is pure compile-time
+//! The analysis pipeline ([`systolic_core::Analyzer`]) is pure compile-time
 //! work — exactly the kind of thing a toolchain serves to many clients and
 //! amortizes across identical requests. This crate turns it into that
 //! shared subsystem:
@@ -16,21 +16,18 @@
 //!   serves hits from cache, computes misses (optionally chasing each
 //!   certified plan with a `systolic_sim` verification run) and returns
 //!   structured [`AnalysisResponse`]s with cache provenance and timings;
-//! * verification chasing — inline chases replay through each worker's
-//!   [`ArenaLru`] (warm arenas keyed by compiled topology, sized by an
-//!   [`ArenaBudget`]: [`ServiceConfig::arena_cache_capacity`] /
+//! * verification chasing — each worker replays its certified misses
+//!   through its own [`ArenaLru`] (warm arenas keyed by compiled
+//!   topology, sized by an [`ArenaBudget`]:
+//!   [`ServiceConfig::arena_cache_capacity`] /
 //!   [`ServiceConfig::arena_mem_budget`]);
-//!   [`ServiceConfig::verify_threads`] instead coalesces the chases of a
-//!   batch window into one fan-out through a cross-topology
-//!   [`VerifyScheduler`](systolic_sim::VerifyScheduler), whose queue
-//!   depth and per-topology fan-outs the summary reports;
 //! * [`wire`] + [`Json`] — the JSONL request/response format of the
 //!   [`systolicd`](../systolicd/index.html) binary, which replays scripted
 //!   traffic files end to end;
 //! * observability — every service shares one
 //!   [`Obs`](systolic_obs::Obs) bundle
 //!   ([`AnalysisService::with_obs`]): analyzer stage timings, arena-cache
-//!   and scheduler counters, and request/verify spans all land in its
+//!   counters, and request/verify spans all land in its
 //!   registry/tracer, exported as a Prometheus text exposition
 //!   ([`AnalysisService::registry_snapshot`]), a `metrics` wire op
 //!   ([`wire::WireResponse::Metrics`]), or a JSONL span log;
@@ -68,7 +65,6 @@ mod json;
 mod queue;
 mod service;
 mod snapshot;
-mod varena;
 pub mod wire;
 
 pub use cache::{CacheConfig, CacheStats, ShardedCache};
@@ -81,4 +77,4 @@ pub use service::{
     Ticket, TopologyVerifyStats,
 };
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use varena::{ArenaBudget, ArenaLookup, ArenaLru};
+pub use systolic_sim::{ArenaBudget, ArenaLookup, ArenaLru};

@@ -6,11 +6,9 @@
 //! returns the shared `Arc`ed outcome immediately, a miss runs the staged
 //! [`Analyzer`](systolic_core::Analyzer) pipeline and publishes the
 //! outcome for every later identical request. With `verify` on, every
-//! miss's certified plan is *chased* by a simulation replay: inline
-//! through the worker's warm [`ArenaLru`], or — with `verify_threads ≥ 1`
-//! — coalesced with the other chases queued in a batch window and fanned
-//! out (mixed topologies and all) through one cross-topology
-//! [`VerifyScheduler`].
+//! miss's certified plan is *chased* by a simulation replay, inline in
+//! the analysis worker, through that worker's warm [`ArenaLru`] (mixed
+//! topologies and all).
 //! Topology compilations are shared too: a second cache keyed by the
 //! [`CompiledTopology`] fingerprint means the misses of a batch that all
 //! name one topology compile it once and reuse the route closure.
@@ -35,9 +33,7 @@ use systolic_core::{
 use systolic_model::{CanonicalHash, ModelError, Op, Program, Topology};
 use systolic_obs::{names, Counter, Gauge, Histogram, Obs, RegistrySnapshot, SpanCtx};
 use systolic_report::Table;
-use systolic_sim::{
-    ArenaBudget, SchedulerStats, SimConfig, VerifyReport, VerifyScheduler, VerifyTaskError,
-};
+use systolic_sim::{ArenaBudget, SimConfig, VerifyReport};
 use systolic_workloads::TrafficItem;
 
 use crate::snapshot::{self, SnapshotError};
@@ -64,17 +60,10 @@ pub struct ServiceConfig {
     /// Bounded submission-queue depth; producers block (backpressure)
     /// when this many requests are waiting.
     pub queue_depth: usize,
-    /// Chase every *miss* with a simulator run of the certified plan.
+    /// Chase every *miss* with a simulator run of the certified plan,
+    /// inline in the analysis worker that computed it (so verification
+    /// parallelism is [`workers`](ServiceConfig::workers)).
     pub verify: bool,
-    /// Dedicated verification parallelism for the chase. `0` (the
-    /// default) chases inline in the analysis worker that computed the
-    /// plan; `N ≥ 1` routes chases to the cross-topology
-    /// [`VerifyScheduler`], which coalesces the chases queued within a
-    /// batch window into one `N`-worker fan-out — so arena residency
-    /// scales with `verify_threads ×` the arena budget, not `workers ×`
-    /// budget, and verification CPU is capped independently of the
-    /// analysis pool. Ignored unless `verify` is set.
-    pub verify_threads: usize,
     /// Arenas each chasing thread keeps warm in its [`ArenaLru`]
     /// ([`ArenaBudget::Fixed`]). `0` sizes the LRUs automatically from
     /// the distinct-topology cardinality each thread actually observes
@@ -126,7 +115,6 @@ impl Default for ServiceConfig {
             cache: CacheConfig::default(),
             queue_depth: 64,
             verify: false,
-            verify_threads: 0,
             arena_cache_capacity: DEFAULT_ARENA_CACHE_CAPACITY,
             arena_mem_budget: None,
             sim: SimConfig::default(),
@@ -362,55 +350,8 @@ struct Job {
     reply: mpsc::Sender<AnalysisResponse>,
 }
 
-struct Latencies {
-    count: u64,
-    sum_micros: u64,
-    max_micros: u64,
-    /// Reservoir of samples for percentile estimates (Algorithm R: once
-    /// full, sample `n` replaces a uniformly random slot with probability
-    /// `capacity / n`, so long runs stay representative of the whole run,
-    /// not just the cold start).
-    samples: Vec<u64>,
-    /// xorshift64 state for reservoir replacement.
-    rng: u64,
-}
-
-impl Default for Latencies {
-    fn default() -> Self {
-        Latencies {
-            count: 0,
-            sum_micros: 0,
-            max_micros: 0,
-            samples: Vec::new(),
-            rng: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-}
-
-impl Latencies {
-    fn record(&mut self, micros: u64) {
-        self.count += 1;
-        self.sum_micros = self.sum_micros.saturating_add(micros);
-        self.max_micros = self.max_micros.max(micros);
-        if self.samples.len() < MAX_LATENCY_SAMPLES {
-            self.samples.push(micros);
-        } else {
-            // xorshift64, then reduce onto 0..count.
-            self.rng ^= self.rng << 13;
-            self.rng ^= self.rng >> 7;
-            self.rng ^= self.rng << 17;
-            let slot = (self.rng % self.count) as usize;
-            if slot < self.samples.len() {
-                self.samples[slot] = micros;
-            }
-        }
-    }
-}
-
-const MAX_LATENCY_SAMPLES: usize = 100_000;
-
 /// Counter snapshot of the workers' verification-arena LRUs, summed
-/// across all workers/verifier threads.
+/// across all workers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ArenaCacheStats {
     /// Chases served by a resident (warm) arena.
@@ -437,11 +378,9 @@ impl ArenaCacheStats {
 /// Registry instruments the service's hot paths touch, resolved once at
 /// construction so per-request work is atomics only (no registry lock).
 ///
-/// Arena-cache counters are deliberately **absent**: the
-/// [`ArenaLru`]s themselves (inline per worker, and inside the verify
-/// scheduler's workers) are the single writers of the
-/// `systolic_arena_cache_*` series, so inline and scheduled chases sum in
-/// the registry without double counting.
+/// Arena-cache counters are deliberately **absent**: the per-worker
+/// [`ArenaLru`]s themselves are the single writers of the
+/// `systolic_arena_cache_*` series, so chases are counted once.
 #[derive(Debug)]
 struct ServiceMetrics {
     /// `systolic_service_requests_total`.
@@ -451,8 +390,6 @@ struct ServiceMetrics {
     handle_micros: Arc<Histogram>,
     /// `systolic_service_queue_depth`, maintained by `submit`/worker pop.
     queue_depth: Arc<Gauge>,
-    /// `systolic_service_coalesced_window`, set by the verify dispatcher.
-    coalesced_window: Arc<Gauge>,
     /// `systolic_service_incremental_sessions`, tracking the session
     /// table's live entry count.
     incremental_sessions: Arc<Gauge>,
@@ -471,7 +408,6 @@ impl ServiceMetrics {
             requests: registry.counter(names::SERVICE_REQUESTS),
             handle_micros: registry.histogram(names::SERVICE_HANDLE_DURATION),
             queue_depth: registry.gauge(names::SERVICE_QUEUE_DEPTH),
-            coalesced_window: registry.gauge(names::SERVICE_COALESCED_WINDOW),
             incremental_sessions: registry.gauge(names::INCREMENTAL_SESSIONS),
             session_evictions: registry.counter(names::INCREMENTAL_SESSION_EVICTIONS),
             snapshot_warm_hits: registry.counter(names::SNAPSHOT_WARM_HITS),
@@ -517,14 +453,6 @@ enum ChaseError {
     Model(ModelError),
     /// The replay panicked; the arena involved was dropped.
     Panicked(String),
-}
-
-/// One chase dispatched to the verify scheduler's coalescing queue.
-struct VerifyJob {
-    program: Program,
-    plan: Arc<CommPlan>,
-    compiled: Arc<CompiledTopology>,
-    reply: mpsc::Sender<Result<VerifyReport, ChaseError>>,
 }
 
 /// One edit operation with names instead of ids — the shape the JSONL
@@ -667,20 +595,12 @@ struct Inner {
     /// misses of one batch (and across batches) compile each distinct
     /// topology once.
     compilations: ShardedCache<Arc<CompiledTopology>>,
-    /// Chase hand-off to the verify scheduler's dispatcher; `None` when
-    /// chases run inline in the analysis workers (`verify_threads == 0`).
-    verify_queue: Option<BoundedQueue<VerifyJob>>,
     config: ServiceConfig,
     /// The shared observability bundle: every layer (analyzer stages,
-    /// arena LRUs, verify scheduler, service counters) writes into this
-    /// one registry/tracer pair.
+    /// arena LRUs, service counters) writes into this one registry/tracer
+    /// pair.
     obs: Arc<Obs>,
     metrics: ServiceMetrics,
-    latencies: Mutex<Latencies>,
-    /// The [`VerifyScheduler`]'s cumulative counters, snapshotted by the
-    /// dispatcher after every fan-out. `None` until the first fan-out (or
-    /// always, when chases run inline).
-    scheduler_stats: Mutex<Option<SchedulerStats>>,
     /// Topology spec → (verified, blocked) chase tallies, for the
     /// per-topology summary breakdown. `BTreeMap` so reports render in a
     /// stable order.
@@ -776,8 +696,6 @@ pub struct SnapshotReport {
 /// the inclusive upper bound of the bucket holding the ranked sample
 /// (capped by the exact max), so it **overestimates by less than 2× (one
 /// octave) and never underestimates**. Mean, count, and max are exact.
-/// (The old reservoir sampler still records and is kept as a cross-check
-/// in tests.)
 #[derive(Clone, Debug)]
 pub struct ServiceStats {
     /// Requests answered.
@@ -794,15 +712,10 @@ pub struct ServiceStats {
     pub max_micros: u64,
     /// Plan-cache counters.
     pub cache: CacheStats,
-    /// Verification-arena LRU counters, summed across all chasing threads
-    /// (inline workers and scheduler workers alike).
+    /// Verification-arena LRU counters, summed across all workers.
     pub arena_cache: ArenaCacheStats,
     /// The arena residency budget every chasing thread's LRU enforces.
     pub arena_budget: ArenaBudget,
-    /// The verify scheduler's cumulative fan-out counters; `None` until
-    /// the scheduler has fanned out at least once (in particular, always
-    /// `None` when chases run inline, `verify_threads == 0`).
-    pub scheduler: Option<SchedulerStats>,
     /// Per-topology verification outcomes (spec order), populated when
     /// the service chases plans (`verify` on).
     pub verify_topologies: Vec<TopologyVerifyStats>,
@@ -850,24 +763,6 @@ impl ServiceStats {
                 &format!("{:.1}%", arenas.hit_rate() * 100.0),
             ]);
             t.row(["arena cache budget", &budget_label(self.arena_budget)]);
-        }
-        if let Some(scheduler) = &self.scheduler {
-            t.row(["scheduler fan-outs", &scheduler.fanouts.to_string()]);
-            t.row(["scheduler coalesced jobs", &scheduler.items.to_string()]);
-            t.row([
-                "scheduler queue depth (max)",
-                &scheduler.max_fanout.to_string(),
-            ]);
-            t.row([
-                "scheduler distinct topologies",
-                &scheduler.distinct_topologies.to_string(),
-            ]);
-            for (spec, fanout) in &scheduler.per_topology {
-                t.row([
-                    &format!("fanout[{spec}]"),
-                    &format!("{} jobs / {} fan-outs", fanout.items, fanout.fanouts),
-                ]);
-            }
         }
         for topology in &self.verify_topologies {
             t.row([
@@ -925,9 +820,6 @@ impl ServiceStats {
 pub struct AnalysisService {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    /// The verify scheduler's dispatcher thread (empty when chases run
-    /// inline in the analysis workers).
-    verifiers: Vec<JoinHandle<()>>,
     seq: AtomicU64,
 }
 
@@ -940,10 +832,9 @@ impl std::fmt::Debug for Inner {
 }
 
 impl AnalysisService {
-    /// Starts the worker pool (and, when `verify_threads ≥ 1` with
-    /// `verify` on, the dedicated verifier pool) with a fresh private
-    /// observability bundle. Use [`AnalysisService::with_obs`] to share
-    /// one bundle with other components (or to read it back out).
+    /// Starts the worker pool with a fresh private observability bundle.
+    /// Use [`AnalysisService::with_obs`] to share one bundle with other
+    /// components (or to read it back out).
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
         Self::with_obs(config, Arc::new(Obs::new()))
@@ -952,11 +843,6 @@ impl AnalysisService {
     /// Starts the worker pool recording metrics and spans into `obs`.
     #[must_use]
     pub fn with_obs(config: ServiceConfig, obs: Arc<Obs>) -> Self {
-        let verify_threads = if config.verify {
-            config.verify_threads
-        } else {
-            0
-        };
         let metrics = ServiceMetrics::resolve(&obs);
         let hw_threads = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -972,16 +858,9 @@ impl AnalysisService {
             queue: BoundedQueue::new(config.queue_depth),
             cache: ShardedCache::new(config.cache),
             compilations: ShardedCache::new(config.compilation_cache),
-            // Deeper than the fan-out so chases pile up into a coalescing
-            // window while the previous fan-out runs, without letting
-            // analysis workers race unboundedly ahead of verification.
-            verify_queue: (verify_threads > 0)
-                .then(|| BoundedQueue::new(verify_window(verify_threads))),
             config,
             obs,
             metrics,
-            latencies: Mutex::new(Latencies::default()),
-            scheduler_stats: Mutex::new(None),
             verify_by_topology: Mutex::new(BTreeMap::new()),
             seeds: ShardedCache::new(config.cache),
             edit_state: Mutex::new(EditState {
@@ -1003,23 +882,9 @@ impl AnalysisService {
                     .expect("spawning a worker thread succeeds")
             })
             .collect();
-        // One dispatcher owns the scheduler; the scheduler itself fans
-        // each coalesced window out over `verify_threads` workers.
-        let verifiers = (verify_threads > 0)
-            .then(|| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name("systolic-verify-scheduler".to_owned())
-                    .spawn(move || scheduler_loop(&inner))
-                    // lint: panic-ok(startup-time spawn; failing to build the pool is fatal by design)
-                    .expect("spawning the verify dispatcher succeeds")
-            })
-            .into_iter()
-            .collect();
         AnalysisService {
             inner,
             workers,
-            verifiers,
             seq: AtomicU64::new(0),
         }
     }
@@ -1311,29 +1176,18 @@ impl AnalysisService {
     }
 
     /// Counter snapshot of the verification-arena LRUs, summed across all
-    /// chasing threads — the workers' inline LRUs plus the verify
-    /// scheduler's per-worker LRUs. All-zero unless the service chases
-    /// plans (`verify` on).
+    /// workers (and the edit path's LRU). All-zero unless the service
+    /// chases plans (`verify` on).
     #[must_use]
     pub fn arena_cache_stats(&self) -> ArenaCacheStats {
-        // The ArenaLrus are the single writers of these series (inline
-        // workers and scheduler workers share the one registry), so the
-        // registry totals already cover both chase routes without double
-        // counting.
+        // The ArenaLrus are the single writers of these series, so the
+        // registry totals count every chase once.
         let snapshot = self.inner.obs.registry().snapshot();
         ArenaCacheStats {
             hits: snapshot.counter_total(names::ARENA_CACHE_HITS),
             misses: snapshot.counter_total(names::ARENA_CACHE_MISSES),
             evictions: snapshot.counter_total(names::ARENA_CACHE_EVICTIONS),
         }
-    }
-
-    /// The verify scheduler's cumulative fan-out counters, as of its most
-    /// recent fan-out. `None` when chases run inline
-    /// (`verify_threads == 0`) or before the first fan-out.
-    #[must_use]
-    pub fn scheduler_stats(&self) -> Option<SchedulerStats> {
-        self.inner.scheduler_stats.lock().clone()
     }
 
     /// Per-topology verification outcomes so far, in spec order. Empty
@@ -1369,7 +1223,6 @@ impl AnalysisService {
             cache: self.inner.cache.stats(),
             arena_cache: self.arena_cache_stats(),
             arena_budget: self.inner.config.arena_budget(),
-            scheduler: self.scheduler_stats(),
             verify_topologies: self.verify_topology_stats(),
             incremental: self.incremental_stats(),
             snapshot: self.snapshot_stats(),
@@ -1611,17 +1464,9 @@ impl AnalysisService {
 
 impl Drop for AnalysisService {
     fn drop(&mut self) {
-        // Workers first (they may still be waiting on verifier replies),
-        // then the verifier pool once no chase can arrive anymore.
         self.inner.queue.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-        if let Some(verify_queue) = &self.inner.verify_queue {
-            verify_queue.close();
-        }
-        for verifier in self.verifiers.drain(..) {
-            let _ = verifier.join();
         }
     }
 }
@@ -1629,12 +1474,11 @@ impl Drop for AnalysisService {
 fn worker_loop(inner: &Inner) {
     // The worker's verification arenas: a small LRU keyed by compiled
     // topology, so topology-interleaved traffic reuses warm arenas
-    // instead of rebuilding per request. Unused (stays empty) when
-    // chases are offloaded to the verify scheduler.
+    // instead of rebuilding per request.
     let mut arenas = ArenaLru::with_budget(inner.config.arena_budget());
     // The LRU itself writes the arena-cache registry series (hits,
     // misses, evictions, build timings) — the service adds nothing on
-    // top, so inline and scheduled chases sum without double counting.
+    // top, so every chase is counted once.
     arenas.set_obs(&inner.obs);
     while let Some(job) = inner.queue.pop() {
         inner.metrics.queue_depth.add(-1);
@@ -1644,61 +1488,11 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// The coalescing window (and verify-queue depth) for `threads` scheduler
-/// workers: enough room that every worker can draw several plans per
-/// fan-out even when analysis outpaces verification.
-fn verify_window(threads: usize) -> usize {
-    (threads * 4).max(8)
-}
-
-/// The verify dispatcher: drains the chase queue in coalesced windows and
-/// fans each heterogeneous window out through the cross-topology
-/// [`VerifyScheduler`] — one fan-out for however many chases (mixed
-/// topologies included) queued up while the previous window ran. Replay
-/// panics poison at most one arena ([`VerifyTaskError::Panicked`] per
-/// item), so the scheduler and its warm arenas outlive hostile requests.
-fn scheduler_loop(inner: &Inner) {
-    let Some(verify_queue) = &inner.verify_queue else {
-        return;
-    };
-    let threads = inner.config.verify_threads.max(1);
-    let window = verify_window(threads);
-    let mut scheduler =
-        VerifyScheduler::new(inner.config.sim, threads, inner.config.arena_budget());
-    // Scheduler workers' LRUs and fan-out counters write into the same
-    // registry as the inline path.
-    scheduler.set_obs(Arc::clone(&inner.obs));
-    loop {
-        let jobs = verify_queue.pop_many(window);
-        if jobs.is_empty() {
-            return; // closed and drained
-        }
-        inner
-            .metrics
-            .coalesced_window
-            .set(i64::try_from(jobs.len()).unwrap_or(i64::MAX));
-        let outcomes = scheduler.verify_batch_outcomes(
-            jobs.iter()
-                .map(|job| (&job.program, &job.compiled, &job.plan)),
-        );
-        *inner.scheduler_stats.lock() = Some(scheduler.stats().clone());
-        for (job, outcome) in jobs.into_iter().zip(outcomes) {
-            let result = outcome.map_err(|error| match error {
-                VerifyTaskError::Model(error) => ChaseError::Model(error),
-                VerifyTaskError::Panicked(message) => ChaseError::Panicked(message),
-            });
-            // A dropped reply means the requesting worker is gone
-            // (shutdown).
-            let _ = job.reply.send(result);
-        }
-    }
-}
-
 /// Replays `plan` through `arenas`' warm arena for `compiled` (building
 /// one on a miss), with panic isolation: a replay panic drops the
 /// possibly-poisoned arena and reports [`ChaseError::Panicked`] instead
 /// of unwinding the calling thread.
-fn chase_through(
+fn chase(
     inner: &Inner,
     arenas: &mut ArenaLru,
     compiled: &Arc<CompiledTopology>,
@@ -1723,35 +1517,6 @@ fn chase_through(
             Err(ChaseError::Panicked(panic_message(&panic)))
         }
     }
-}
-
-/// One verification chase, routed inline (this worker's own arenas) or
-/// through the verify scheduler's dispatcher, per `verify_threads`.
-fn chase(
-    inner: &Inner,
-    arenas: &mut ArenaLru,
-    compiled: &Arc<CompiledTopology>,
-    program: &Program,
-    plan: &Arc<CommPlan>,
-) -> Result<VerifyReport, ChaseError> {
-    let Some(verify_queue) = &inner.verify_queue else {
-        return chase_through(inner, arenas, compiled, program, plan);
-    };
-    let (tx, rx) = mpsc::channel();
-    let job = VerifyJob {
-        program: program.clone(),
-        plan: Arc::clone(plan),
-        compiled: Arc::clone(compiled),
-        reply: tx,
-    };
-    if verify_queue.push(job).is_err() {
-        // Only possible mid-shutdown; reject rather than panic the worker.
-        return Err(ChaseError::Panicked(
-            "verify scheduler shut down".to_owned(),
-        ));
-    }
-    rx.recv()
-        .unwrap_or_else(|_| Err(ChaseError::Panicked("verify dispatcher died".to_owned())))
 }
 
 fn handle(
@@ -1784,7 +1549,7 @@ fn handle(
             // hostile) request rejects that request instead of killing
             // the worker and, via the dropped reply channel, the client.
             // (Replay panics are already contained — and their arena
-            // dropped — inside `chase_through`.)
+            // dropped — inside `chase`.)
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 compute(inner, &request, fingerprint, arenas, ctx)
             }));
@@ -1806,9 +1571,6 @@ fn handle(
     tracer.finish(span);
     inner.metrics.requests.inc();
     inner.metrics.handle_micros.record(handle_micros);
-    // The reservoir stays as an exact cross-check for the histogram
-    // percentiles (read only by tests).
-    inner.latencies.lock().record(handle_micros);
     AnalysisResponse {
         seq,
         name: request.name,
@@ -1951,10 +1713,9 @@ fn compute(
         .map(|m| (request.program.message(m).name().to_owned(), plan.label(m)))
         .collect();
     let verified = if inner.config.verify {
-        // Chase the certification with a simulator replay — through this
-        // worker's warm arena LRU, or the dedicated verifier pool when
-        // `verify_threads` is set. The span covers the whole chase,
-        // scheduler queueing included.
+        // Chase the certification with a simulator replay through this
+        // worker's warm arena LRU. The span covers the whole chase, arena
+        // lookup included.
         let chase_span = inner
             .obs
             .tracer()
@@ -2123,10 +1884,13 @@ mod tests {
     }
 
     #[test]
-    fn dedicated_verifier_pool_chases_misses() {
+    fn inline_chases_cover_every_mixed_topology_miss() {
+        // Mixed fig7/fig9 misses over two workers: every certified miss is
+        // chased exactly once through a worker's arena LRU, and the
+        // summary breaks the chases down per topology.
         let config = ServiceConfig {
             verify: true,
-            verify_threads: 2,
+            workers: 2,
             ..Default::default()
         };
         let service = AnalysisService::new(config);
@@ -2144,66 +1908,38 @@ mod tests {
         let responses = service.run_batch(requests);
         for response in &responses {
             let certified = response.outcome.as_ref().as_ref().unwrap();
-            let report = certified.verified.as_ref().expect("pool chased the miss");
+            let report = certified.verified.as_ref().expect("miss was chased");
             assert!(report.completed, "{} failed its chase", response.name);
         }
+        let chased = responses.len() as u64;
         let arenas = service.arena_cache_stats();
         assert_eq!(
             arenas.hits + arenas.misses,
-            7,
-            "every miss was chased: {arenas:?}"
+            chased,
+            "every miss chased once: {arenas:?}"
         );
-        // Two verifier threads and two topologies: at most one build per
-        // (thread, topology) pair.
+        // Two workers and two topologies: at most one build per
+        // (worker, topology) pair.
         assert!(arenas.misses <= 4, "{arenas:?}");
-    }
-
-    #[test]
-    fn scheduler_reports_coalesced_mixed_topology_fanouts() {
-        // Mixed fig7/fig9 misses through the scheduler: every chase is
-        // accounted to a fan-out, and the summary grows the scheduler
-        // block with per-topology rows.
-        let config = ServiceConfig {
-            verify: true,
-            verify_threads: 2,
-            ..Default::default()
-        };
-        let service = AnalysisService::new(config);
-        let mut requests = Vec::new();
-        for reps in 1..=4 {
-            requests.push(AnalysisRequest::new(
-                format!("fig7x{reps}"),
-                fig7(reps),
-                fig7_topology(),
-            ));
-        }
-        let mut nine = AnalysisRequest::new("fig9", fig9(), fig9_topology());
-        nine.config.queues_per_interval = 2;
-        requests.push(nine);
-        let responses = service.run_batch(requests);
-        assert!(responses.iter().all(AnalysisResponse::is_certified));
-
-        let scheduler = service.scheduler_stats().expect("scheduler fanned out");
-        assert_eq!(scheduler.items, 5, "every chase coalesced: {scheduler:?}");
-        assert!(
-            scheduler.fanouts >= 1 && scheduler.fanouts <= 5,
-            "{scheduler:?}"
-        );
-        assert_eq!(scheduler.distinct_topologies, 2, "{scheduler:?}");
-        let per_topology_items: u64 = scheduler.per_topology.values().map(|f| f.items).sum();
-        assert_eq!(per_topology_items, 5, "{scheduler:?}");
-        assert!(scheduler.max_fanout >= 1, "{scheduler:?}");
 
         let text = service.stats().table().to_text();
-        assert!(text.contains("scheduler fan-outs"), "{text}");
-        assert!(text.contains("scheduler coalesced jobs"), "{text}");
-        assert!(text.contains("scheduler queue depth (max)"), "{text}");
-        assert!(text.contains("scheduler distinct topologies"), "{text}");
         assert!(
-            text.contains(&format!("fanout[{}]", fig7_topology().spec())),
+            text.contains(&format!("verify[{}]", fig7_topology().spec())),
             "{text}"
         );
+        assert!(
+            text.contains(&format!("verify[{}]", fig9_topology().spec())),
+            "{text}"
+        );
+        assert!(text.contains("6 ok / 0 blocked"), "{text}");
         assert!(text.contains("arena cache budget"), "{text}");
+
+        // Without `verify` nothing is chased.
+        let quiet = AnalysisService::new(ServiceConfig::default());
+        let response = quiet.submit(fig7_request()).wait();
+        let certified = response.outcome.as_ref().as_ref().unwrap();
+        assert!(certified.verified.is_none(), "no chase without verify");
+        assert_eq!(quiet.arena_cache_stats(), ArenaCacheStats::default());
     }
 
     #[test]
@@ -2277,20 +2013,6 @@ mod tests {
             arenas.evictions, 0,
             "auto budget keeps both warm: {arenas:?}"
         );
-    }
-
-    #[test]
-    fn verify_threads_without_verify_is_inert() {
-        let config = ServiceConfig {
-            verify: false,
-            verify_threads: 4,
-            ..Default::default()
-        };
-        let service = AnalysisService::new(config);
-        let response = service.submit(fig7_request()).wait();
-        let certified = response.outcome.as_ref().as_ref().unwrap();
-        assert!(certified.verified.is_none(), "no chase without verify");
-        assert_eq!(service.arena_cache_stats(), ArenaCacheStats::default());
     }
 
     #[test]
@@ -2578,28 +2300,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_reservoir_keeps_late_samples() {
-        let mut lat = Latencies::default();
-        // Fill the reservoir with zeros, then stream ones: Algorithm R
-        // must let late samples displace early ones.
-        for _ in 0..MAX_LATENCY_SAMPLES {
-            lat.record(0);
-        }
-        for _ in 0..MAX_LATENCY_SAMPLES {
-            lat.record(1);
-        }
-        assert_eq!(lat.count, 2 * MAX_LATENCY_SAMPLES as u64);
-        assert_eq!(lat.samples.len(), MAX_LATENCY_SAMPLES);
-        let ones = lat.samples.iter().filter(|&&v| v == 1).count();
-        // Expected ~50%; 30%..70% is a >20-sigma-safe band.
-        let fraction = ones as f64 / MAX_LATENCY_SAMPLES as f64;
-        assert!(
-            (0.3..=0.7).contains(&fraction),
-            "late samples under-represented: {fraction}"
-        );
-    }
-
-    #[test]
     fn stats_table_renders() {
         let service = AnalysisService::new(ServiceConfig::default());
         let _ = service.submit(fig7_request()).wait();
@@ -2642,39 +2342,6 @@ mod tests {
                 .collect();
             assert!(!stages.is_empty(), "miss traces carry stage spans");
             assert!(stages.iter().all(|s| s.parent == Some(root.span)));
-        }
-    }
-
-    #[test]
-    fn histogram_percentiles_bound_the_reservoir_truth() {
-        let service = AnalysisService::new(ServiceConfig::default());
-        let requests: Vec<AnalysisRequest> = (1..=32)
-            .map(|reps| AnalysisRequest::new(format!("fig7x{reps}"), fig7(reps), fig7_topology()))
-            .collect();
-        let _ = service.run_batch(requests);
-        let stats = service.stats();
-
-        // The reservoir (kept purely as this cross-check) holds every
-        // sample exactly while under capacity.
-        let (count, max, mut samples) = {
-            let lat = service.inner.latencies.lock();
-            (lat.count, lat.max_micros, lat.samples.clone())
-        };
-        assert_eq!(stats.requests, count);
-        assert_eq!(stats.max_micros, max);
-        samples.sort_unstable();
-        for (q, estimate) in [(0.5, stats.p50_micros), (0.99, stats.p99_micros)] {
-            let rank = ((q * count as f64).ceil() as usize).clamp(1, count as usize);
-            let exact = samples[rank - 1];
-            let estimate = estimate as u64;
-            assert!(
-                estimate >= exact,
-                "histogram q={q} must never underestimate: {estimate} < {exact}"
-            );
-            assert!(
-                estimate <= exact.saturating_mul(2).max(1),
-                "histogram q={q} overestimates by 2x at most: {estimate} vs {exact}"
-            );
         }
     }
 

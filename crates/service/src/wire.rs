@@ -839,59 +839,6 @@ fn render_traffic(id: &str, item: &TrafficItem) -> Json {
     ])
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated per-shape entry points, kept as thin wrappers over
-// `WireResponse::to_json` for callers written against the old API.
-// ---------------------------------------------------------------------------
-
-/// Renders one service response as a JSONL line (no trailing newline).
-#[deprecated(note = "use WireResponse::Analysis(..).to_json()")]
-#[must_use]
-pub fn response_to_json(response: &AnalysisResponse) -> Json {
-    WireResponse::Analysis(response).to_json()
-}
-
-/// Renders an incremental edit outcome as a JSONL line: the usual
-/// analysis response fields (`cache: "incremental"`) plus the `base`
-/// echo and a `reuse` object describing what the edit reused.
-#[deprecated(note = "use WireResponse::Edit(..).to_json()")]
-#[must_use]
-pub fn edit_response_to_json(edit: &EditResponse) -> Json {
-    WireResponse::Edit(edit).to_json()
-}
-
-/// Renders a rejected edit request (unknown base, unknown names, invalid
-/// batch) as a JSONL error response. The base session, if any, survives —
-/// the client may retry with a corrected batch.
-#[deprecated(note = "use WireResponse::EditRejected { .. }.to_json()")]
-#[must_use]
-pub fn edit_rejected_to_json(name: &str, base: u128, error: &EditRequestError) -> Json {
-    WireResponse::EditRejected { name, base, error }.to_json()
-}
-
-/// Renders a metrics-registry snapshot as one JSON object (the `metrics`
-/// wire op's response).
-#[deprecated(note = "use WireResponse::Metrics(..).to_json()")]
-#[must_use]
-pub fn metrics_to_json(snapshot: &RegistrySnapshot) -> Json {
-    WireResponse::Metrics(snapshot).to_json()
-}
-
-/// Renders one invalid request line as a JSONL error response.
-#[deprecated(note = "use WireResponse::Invalid { .. }.to_json()")]
-#[must_use]
-pub fn invalid_to_json(line_number: usize, error: &WireError) -> Json {
-    WireResponse::Invalid { line_number, error }.to_json()
-}
-
-/// Renders one traffic item as a JSONL request line (the `systolicd gen`
-/// output format).
-#[deprecated(note = "use WireResponse::Traffic { .. }.to_json()")]
-#[must_use]
-pub fn traffic_to_json(id: &str, item: &TrafficItem) -> Json {
-    WireResponse::Traffic { id, item }.to_json()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1450,89 +1397,6 @@ mod tests {
         assert_eq!(
             WireResponse::Analysis(&response).to_json().to_string(),
             r#"{"id":"r1","status":"certified","cache":"warm","classification":"deadlock-free","labeling":"section6","labels":{"A":"1"},"max_queues_per_interval":1,"analysis_micros":120,"micros":130,"fingerprint":"0x0000000000000000000000000000002a","trace":7}"#
-        );
-    }
-
-    /// The old per-shape entry points must stay byte-identical to the
-    /// consolidated `WireResponse::to_json` on a real served batch —
-    /// callers migrating between the two APIs see identical JSONL.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_render_byte_identical_lines() {
-        let service = AnalysisService::new(ServiceConfig::default());
-        let stream = traffic(&TrafficConfig::default(), 11, 40);
-        let requests: Vec<AnalysisRequest> =
-            stream.iter().map(AnalysisRequest::from_traffic).collect();
-        let responses = service.run_batch(requests);
-        for response in &responses {
-            assert_eq!(
-                response_to_json(response).to_string(),
-                WireResponse::Analysis(response).to_json().to_string(),
-                "{} diverged between the old and new renderers",
-                response.name
-            );
-        }
-        for item in &stream {
-            assert_eq!(
-                traffic_to_json(&item.name, item).to_string(),
-                WireResponse::Traffic {
-                    id: &item.name,
-                    item
-                }
-                .to_json()
-                .to_string()
-            );
-        }
-        let err = parse_request("{", 3).unwrap_err();
-        assert_eq!(
-            invalid_to_json(3, &err).to_string(),
-            WireResponse::Invalid {
-                line_number: 3,
-                error: &err
-            }
-            .to_json()
-            .to_string()
-        );
-        let snapshot = service.registry_snapshot();
-        assert_eq!(
-            metrics_to_json(&snapshot).to_string(),
-            WireResponse::Metrics(&snapshot).to_json().to_string()
-        );
-        let edit_err = service.apply_edit("e1", 0x2a, &[]).unwrap_err();
-        assert_eq!(
-            edit_rejected_to_json("e1", 0x2a, &edit_err).to_string(),
-            WireResponse::EditRejected {
-                name: "e1",
-                base: 0x2a,
-                error: &edit_err
-            }
-            .to_json()
-            .to_string()
-        );
-        let base = service
-            .submit(parse_request(&request_line(""), 1).unwrap())
-            .wait();
-        let edit = service
-            .apply_edit(
-                "e2",
-                base.fingerprint,
-                &[
-                    NamedEditOp::Append {
-                        cell: "c0".to_owned(),
-                        write: true,
-                        message: "A".to_owned(),
-                    },
-                    NamedEditOp::Append {
-                        cell: "c1".to_owned(),
-                        write: false,
-                        message: "A".to_owned(),
-                    },
-                ],
-            )
-            .unwrap();
-        assert_eq!(
-            edit_response_to_json(&edit).to_string(),
-            WireResponse::Edit(&edit).to_json().to_string()
         );
     }
 }

@@ -220,23 +220,7 @@ impl ArenaLru {
         compiled: &Arc<CompiledTopology>,
         sim: SimConfig,
     ) -> ArenaLookup<'_> {
-        let compiled = Arc::clone(compiled);
-        self.get_or_build_with(compiled.fingerprint(), sim, move || {
-            SimArena::from_compiled(compiled, sim)
-        })
-    }
-
-    /// As [`get_or_build`](ArenaLru::get_or_build), but with a
-    /// caller-chosen key and arena constructor — the general entry point
-    /// for worlds that are not compiled-topology-backed (the
-    /// [`VerifyPool`](crate::VerifyPool) adapter's plain
-    /// [`SimWorld`](crate::SimWorld)s).
-    pub fn get_or_build_with(
-        &mut self,
-        key: u128,
-        sim: SimConfig,
-        build: impl FnOnce() -> SimArena,
-    ) -> ArenaLookup<'_> {
+        let key = compiled.fingerprint();
         self.tick += 1;
         if !self.observed.contains(&key) && self.observed.len() < 4 * MAX_AUTO_ARENAS {
             self.observed.push(key);
@@ -259,7 +243,7 @@ impl ArenaLru {
             self.entries.swap_remove(idx);
         }
         let build_start = Instant::now();
-        let arena = build();
+        let arena = SimArena::from_compiled(Arc::clone(compiled), sim);
         if let Some(m) = &self.instruments {
             m.misses.inc();
             m.build_micros

@@ -45,10 +45,6 @@
 //! replays are CPU-bound and share no mutable state, so throughput scales
 //! until the batch runs out of plans to steal.
 //!
-//! [`VerifyPool`] remains as a thin adapter — a scheduler pinned to one
-//! [`SimWorld`] — for the common one-topology shape
-//! ([`verify_batch_compiled_parallel`] is its one-call convenience).
-//!
 //! ```
 //! use std::sync::Arc;
 //! use systolic_core::{AnalysisConfig, Analyzer, CompiledTopology};
@@ -121,7 +117,6 @@ mod queue;
 mod sched;
 mod stats;
 mod verify;
-mod vpool;
 
 pub use arena_lru::{ArenaBudget, ArenaLookup, ArenaLru, MAX_AUTO_ARENAS};
 pub use cost::CostModel;
@@ -138,4 +133,3 @@ pub use verify::{
     verify_batch, verify_batch_compiled, verify_plan, verify_plan_compiled, ReplayDeadlock,
     VerifyReport,
 };
-pub use vpool::{verify_batch_compiled_parallel, VerifyPool};

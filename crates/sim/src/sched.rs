@@ -1,18 +1,14 @@
 //! Cross-topology verify scheduling: one fan-out for a heterogeneous
 //! batch of certified plans.
 //!
-//! [`VerifyPool`](crate::VerifyPool) spans **one** [`SimWorld`] — mixed
-//! traffic needs a pool per topology, and a serving layer dispatching
-//! chases one at a time loses exactly the parallelism the pool was built
-//! for. [`VerifyScheduler`] generalizes the pool: each worker owns an
-//! [`ArenaLru`] over *multiple* worlds keyed by compiled-topology
-//! fingerprint, so a single batch may interleave mesh, torus and line
-//! plans and still fan out over every worker at once:
+//! Each [`VerifyScheduler`] worker owns an [`ArenaLru`] over *multiple*
+//! worlds keyed by compiled-topology fingerprint, so a single batch may
+//! interleave mesh, torus and line plans and still fan out over every
+//! worker at once:
 //!
-//! * **scoped threads, work stealing** — as the pool: a shared atomic
-//!   cursor hands out batch indices, workers borrow their LRU for the
-//!   duration of one call, and reports are merged back into **input
-//!   order**;
+//! * **scoped threads, work stealing** — a shared atomic cursor hands out
+//!   batch indices, workers borrow their LRU for the duration of one
+//!   call, and reports are merged back into **input order**;
 //! * **warm arenas across batches and topologies** — a worker that drew
 //!   a mesh plan after a torus plan switches worlds by LRU lookup, not by
 //!   rebuild; residency is governed by an [`ArenaBudget`] (fixed count,
@@ -39,7 +35,7 @@ use systolic_core::{CommPlan, CompiledTopology};
 use systolic_model::{ModelError, Program};
 use systolic_obs::{names, Histogram, Obs};
 
-use crate::{ArenaBudget, ArenaLru, SimArena, SimConfig, SimWorld, VerifyReport};
+use crate::{ArenaBudget, ArenaLru, SimConfig, VerifyReport};
 
 /// Why one scheduled replay produced no [`VerifyReport`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -90,8 +86,7 @@ pub struct SchedulerStats {
     pub fanouts: u64,
     /// Plans verified, summed over all fan-outs.
     pub items: u64,
-    /// The largest single fan-out — the deepest coalescing window the
-    /// scheduler has seen.
+    /// The largest single fan-out the scheduler has seen.
     pub max_fanout: u64,
     /// Replays served by a resident (warm) arena.
     pub arena_hits: u64,
@@ -106,38 +101,15 @@ pub struct SchedulerStats {
     pub per_topology: BTreeMap<String, TopologyFanout>,
 }
 
-/// Where one task's arena comes from when its worker has to build one.
-#[derive(Clone, Copy)]
-enum Source<'a> {
-    Compiled(&'a Arc<CompiledTopology>),
-    World(&'a SimWorld),
-}
-
-impl Source<'_> {
-    fn build(self, sim: SimConfig) -> SimArena {
-        match self {
-            Source::Compiled(compiled) => SimArena::from_compiled(Arc::clone(compiled), sim),
-            Source::World(world) => SimArena::new(world.clone()),
-        }
-    }
-
-    fn spec(self) -> String {
-        match self {
-            Source::Compiled(compiled) => compiled.topology().spec(),
-            Source::World(world) => world.topology().spec(),
-        }
-    }
-}
-
-/// One unit of scheduled work: a `(program, plan)` pair, the 128-bit key
-/// its arena lives under, and the queue count its topology group was
-/// sized to.
+/// One unit of scheduled work: a `(program, plan)` pair, the compiled
+/// topology its arena is built from (and keyed by), and the queue count
+/// its topology group was sized to.
 struct Task<'a> {
     program: &'a Program,
     plan: &'a Arc<CommPlan>,
+    compiled: &'a Arc<CompiledTopology>,
     key: u128,
     group_max: usize,
-    source: Source<'a>,
 }
 
 /// What one worker hands back from a fan-out: its input-indexed
@@ -327,34 +299,12 @@ impl VerifyScheduler {
             .map(|(program, compiled, plan)| Task {
                 program,
                 plan,
+                compiled,
                 key: compiled.fingerprint(),
                 group_max: 1,
-                source: Source::Compiled(compiled),
             })
             .collect();
         self.run(tasks)
-    }
-
-    /// The [`VerifyPool`](crate::VerifyPool) adapter's entry: a
-    /// homogeneous batch over one caller-held world under a caller-chosen
-    /// key.
-    pub(crate) fn verify_batch_in_world<'a>(
-        &mut self,
-        world: &SimWorld,
-        key: u128,
-        batch: impl IntoIterator<Item = (&'a Program, &'a Arc<CommPlan>)>,
-    ) -> Result<Vec<VerifyReport>, ModelError> {
-        let tasks: Vec<Task<'_>> = batch
-            .into_iter()
-            .map(|(program, plan)| Task {
-                program,
-                plan,
-                key,
-                group_max: 1,
-                source: Source::World(world),
-            })
-            .collect();
-        strict(self.run(tasks))
     }
 
     fn run(&mut self, mut tasks: Vec<Task<'_>>) -> Vec<Result<VerifyReport, VerifyTaskError>> {
@@ -397,7 +347,8 @@ impl VerifyScheduler {
                 .iter()
                 .find(|task| task.key == key)
                 .expect("key came from tasks") // lint: panic-ok(key was drawn from the same map two lines up)
-                .source
+                .compiled
+                .topology()
                 .spec();
             if let Some(obs) = &self.obs {
                 cycle_hists.insert(
@@ -524,7 +475,7 @@ fn verify_one(
     replay_hist: Option<&Histogram>,
 ) -> Result<VerifyReport, VerifyTaskError> {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let lookup = lru.get_or_build_with(task.key, sim, || task.source.build(sim));
+        let lookup = lru.get_or_build(task.compiled, sim);
         let flags = (lookup.hit, lookup.evicted);
         lookup.arena.ensure_queues(task.group_max);
         // Replay wall time: the in-place state reset plus the
@@ -720,10 +671,15 @@ mod tests {
             .verify_batch(batch.iter().map(|(p, c, plan)| (p, c, plan)))
             .unwrap();
         assert_eq!(first, second, "reuse across batches must not drift");
-        assert_eq!(
-            scheduler.stats().arena_misses,
-            misses_after_first,
-            "the second batch replays entirely through warm arenas"
+        // Work stealing may hand a worker a topology in the second batch
+        // that it never drew in the first, so the invariant is per
+        // (worker, topology): each pair builds at most once across both
+        // batches.
+        let misses = scheduler.stats().arena_misses;
+        assert!(misses_after_first >= 2, "each topology built at least once");
+        assert!(
+            misses <= 2 * 2,
+            "at most one build per worker and topology across batches: {misses}"
         );
         assert_eq!(scheduler.stats().fanouts, 2);
         assert!(scheduler.resident_arenas() >= 2);
@@ -814,6 +770,41 @@ mod tests {
             let cycles = snap.histogram_value(names::VERIFY_REPLAY_CYCLES, &[("topology", spec)]);
             assert_eq!(cycles.count, fanout.items, "topology {spec}");
             assert!(cycles.sum > 0);
+        }
+    }
+
+    #[test]
+    fn two_queue_plans_pre_grow_every_arena_and_threads_clamp() {
+        // fig9 needs two queues per interval: every arena grows to that
+        // before the fan-out, so the reports match the sequential path
+        // whatever the stealing order — including with `threads = 0`,
+        // which clamps to one worker.
+        let config = AnalysisConfig {
+            queues_per_interval: 2,
+            ..Default::default()
+        };
+        let compiled =
+            CompiledTopology::compile(&systolic_workloads::fig9_topology(), &config).into_shared();
+        let program = systolic_workloads::fig9();
+        let plan = Arc::new(
+            Analyzer::new(Arc::clone(&compiled))
+                .analyze(&program)
+                .unwrap()
+                .into_plan(),
+        );
+        let batch: Vec<_> = (0..6)
+            .map(|_| (program.clone(), Arc::clone(&compiled), Arc::clone(&plan)))
+            .collect();
+        let sim = SimConfig::default();
+        let sequential = sequential_reference(&batch, sim);
+        assert!(sequential.iter().all(|r| r.completed));
+        for threads in [0, 2] {
+            let mut scheduler = VerifyScheduler::new(sim, threads, ArenaBudget::Fixed(1));
+            assert_eq!(scheduler.threads(), threads.max(1));
+            let reports = scheduler
+                .verify_batch(batch.iter().map(|(p, c, plan)| (p, c, plan)))
+                .unwrap();
+            assert_eq!(reports, sequential, "threads = {threads}");
         }
     }
 

@@ -14,19 +14,19 @@
 //! # Examples
 //!
 //! ```
-//! use systolic_core::{AnalysisConfig, Analyzer, CompiledTopology};
-//! use systolic_threaded::{run_threaded_compiled, ControlMode, ThreadedConfig};
+//! use systolic_core::{AnalysisConfig, Analyzer};
+//! use systolic_threaded::{run_threaded, ControlMode, ThreadedConfig};
 //! use systolic_workloads::{fig7, fig7_topology};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let program = fig7(2);
-//! let compiled =
-//!     CompiledTopology::compile(&fig7_topology(), &AnalysisConfig::default()).into_shared();
-//! let analyzer = Analyzer::new(std::sync::Arc::clone(&compiled));
-//! let plan = analyzer.analyze(&program)?.into_plan();
-//! let outcome = run_threaded_compiled(
+//! let topology = fig7_topology();
+//! let plan = Analyzer::for_topology(&topology, &AnalysisConfig::default())
+//!     .analyze(&program)?
+//!     .into_plan();
+//! let outcome = run_threaded(
 //!     &program,
-//!     &compiled,
+//!     &topology,
 //!     ControlMode::compatible(plan),
 //!     ThreadedConfig::default(),
 //! )?;
@@ -45,4 +45,4 @@ mod runtime;
 
 pub use controller::{ControlMode, Controller};
 pub use queue::{Liveness, Poisoned, ThreadedQueue};
-pub use runtime::{run_threaded, run_threaded_compiled, ThreadedConfig, ThreadedOutcome};
+pub use runtime::{run_threaded, ThreadedConfig, ThreadedOutcome};

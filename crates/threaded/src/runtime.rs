@@ -80,18 +80,6 @@ pub fn run_threaded(
     config: ThreadedConfig,
 ) -> Result<ThreadedOutcome, ModelError> {
     let routes = MessageRoutes::compute(program, topology)?;
-    run_threaded_with_routes(program, topology, routes, mode, config)
-}
-
-/// The shared stepping loop: `routes` must cover exactly the program's
-/// messages over `topology`.
-fn run_threaded_with_routes(
-    program: &Program,
-    topology: &Topology,
-    routes: MessageRoutes,
-    mode: ControlMode,
-    config: ThreadedConfig,
-) -> Result<ThreadedOutcome, ModelError> {
     let live = Arc::new(Liveness::default());
     let controller = Arc::new(Controller::new(
         mode,
@@ -270,25 +258,6 @@ fn run_threaded_with_routes(
         failures.sort();
         Ok(ThreadedOutcome::Deadlocked { blocked: failures })
     }
-}
-
-/// [`run_threaded`] for callers holding a
-/// [`CompiledTopology`](systolic_core::CompiledTopology), so they need
-/// not carry the `&Topology` separately. Routes are served from the
-/// compilation's route closure (when materialized) instead of recomputed
-/// per run — the same amortization the simulator's `SimArena` gets.
-///
-/// # Errors
-///
-/// As [`run_threaded`].
-pub fn run_threaded_compiled(
-    program: &Program,
-    compiled: &systolic_core::CompiledTopology,
-    mode: ControlMode,
-    config: ThreadedConfig,
-) -> Result<ThreadedOutcome, ModelError> {
-    let routes = compiled.routes_for(program)?;
-    run_threaded_with_routes(program, compiled.topology(), routes, mode, config)
 }
 
 #[cfg(test)]

@@ -71,13 +71,13 @@
 //! worker threads, each holding a budgeted LRU of warm arenas keyed by
 //! compiled-topology fingerprint ([`sim::ArenaBudget`]: fixed, auto, or
 //! bytes), with work-stealing and reports merged back into input order —
-//! byte-identical to the sequential path per topology group.
-//! [`sim::VerifyPool`] stays as the single-topology adapter. The serving
-//! layer (`ServiceConfig::verify_threads`) coalesces the chases of a
-//! batch window into one scheduler fan-out. Tuning: one scheduler thread
-//! per spare core — replays are CPU-bound and share no mutable state, so
-//! throughput scales until the batch runs out of plans to steal — and an
-//! arena budget matching the distinct topologies each worker sees.
+//! byte-identical to the sequential path per topology group. Tuning: one
+//! scheduler thread per spare core — replays are CPU-bound and share no
+//! mutable state, so throughput scales until the batch runs out of plans
+//! to steal — and an arena budget matching the distinct topologies each
+//! worker sees. The serving layer (`ServiceConfig::verify`) chases each
+//! certified miss inline in the analysis worker, through that worker's
+//! own arena LRU.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -1,12 +1,11 @@
-//! Parity property tests: the staged [`Analyzer`] must be observably
-//! identical to the legacy `analyze` entry point on random programs and
+//! Parity property tests: analyzing through a shared
+//! `Arc<CompiledTopology>` session must be observably identical to a
+//! per-call compilation (`Analyzer::for_topology`) on random programs and
 //! topologies — byte-identical `CommPlan` fingerprints on success,
-//! identical errors on rejection. This file is the one sanctioned caller
-//! of the legacy wrapper outside its own crate (see
-//! `tests/no_legacy_analyze.rs`).
+//! identical errors on rejection.
 
 use proptest::prelude::*;
-use systolic::core::{analyze, AnalysisConfig, Analyzer, CompiledTopology, Lookahead};
+use systolic::core::{AnalysisConfig, Analyzer, CompiledTopology, Lookahead};
 use systolic::workloads::{random_program, random_topology, scramble, RandomConfig};
 
 fn shapes() -> impl Strategy<Value = RandomConfig> {
@@ -32,9 +31,9 @@ fn lookaheads() -> impl Strategy<Value = Lookahead> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Same inputs, same outputs: staged-and-shared vs. legacy one-shot.
+    /// Same inputs, same outputs: staged-and-shared vs. per-call.
     #[test]
-    fn analyzer_matches_legacy_analyze(
+    fn shared_session_matches_per_call_compilation(
         shape in shapes(),
         seed in 0u64..1_000_000,
         scrambled in any::<bool>(),
@@ -47,7 +46,7 @@ proptest! {
         let topology = random_topology(&shape);
         let config = AnalysisConfig { lookahead, queues_per_interval: queues };
 
-        let legacy = analyze(&program, &topology, &config);
+        let per_call = Analyzer::for_topology(&topology, &config).analyze(&program);
 
         // The staged path, deliberately through a shared compilation and
         // a session whose stages are poked out of order before finishing.
@@ -58,7 +57,7 @@ proptest! {
         let _ = session.classification();
         let staged = session.finish();
 
-        match (&legacy, staged.result()) {
+        match (&per_call, staged.result()) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(
                     a.plan().fingerprint(),
@@ -73,10 +72,10 @@ proptest! {
                 );
             }
             (Err(a), Err(b)) => prop_assert_eq!(a, b, "errors must be identical"),
-            (legacy, staged) => prop_assert!(
+            (per_call, staged) => prop_assert!(
                 false,
-                "verdicts diverged: legacy {:?} vs staged {:?}",
-                legacy.is_ok(),
+                "verdicts diverged: per-call {:?} vs staged {:?}",
+                per_call.is_ok(),
                 staged.is_ok()
             ),
         }

@@ -1,5 +1,6 @@
 //! Property tests for the observability spine: concurrent histogram
-//! recording conserves count and sum through snapshots.
+//! recording conserves count and sum through snapshots, and histogram
+//! quantiles bound the exact sorted rank.
 
 use std::sync::Arc;
 
@@ -70,6 +71,36 @@ proptest! {
             per_bucket[bucket_index(v)] += 1;
         }
         prop_assert_eq!(done.buckets, per_bucket);
+    }
+
+    /// A quantile estimate never falls below the exact ranked sample and
+    /// overestimates it by at most 2x (one log2 bucket); the exact sort
+    /// is the reference.
+    #[test]
+    fn quantiles_bound_the_exact_rank(
+        seed in any::<u64>(),
+        len in 1usize..400,
+    ) {
+        let mut values = stream(seed, len);
+        let hist = Histogram::new();
+        for &v in &values {
+            hist.record(v);
+        }
+        let snapshot = hist.snapshot();
+        values.sort_unstable();
+        for q in [0.5, 0.99, 1.0] {
+            let rank = ((q * len as f64).ceil() as usize).clamp(1, len);
+            let exact = values[rank - 1];
+            let estimate = snapshot.quantile(q);
+            prop_assert!(
+                estimate >= exact,
+                "q={} underestimates: {} < {}", q, estimate, exact
+            );
+            prop_assert!(
+                estimate <= exact.saturating_mul(2),
+                "q={} overestimates by more than 2x: {} vs {}", q, estimate, exact
+            );
+        }
     }
 
     /// The same conservation holds through the registry: label-sharded
