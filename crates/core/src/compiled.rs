@@ -20,12 +20,12 @@
 //! [`Analyzer`](crate::Analyzer)s, worker threads or batches as needed.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use systolic_model::{
     CanonicalHash, CellId, ContentHasher, MessageRoutes, ModelError, Program, Route, Topology,
 };
+use systolic_obs::{names, Counter, Obs};
 
 use crate::{AnalysisConfig, Lookahead, LookaheadLimits};
 
@@ -95,13 +95,16 @@ pub struct CompiledTopology {
     /// Per-pair route LRU for search-routed topologies beyond the closure
     /// limit. A leaf lock: nothing else is acquired while it is held.
     route_cache: Mutex<RouteCache>,
-    route_cache_hits: AtomicU64,
-    route_cache_misses: AtomicU64,
+    /// Route LRU hit/miss counters: private until
+    /// [`CompiledTopology::with_obs`] binds them to the registry.
+    route_cache_hits: Arc<Counter>,
+    route_cache_misses: Arc<Counter>,
 }
 
 impl Clone for CompiledTopology {
     /// Clones the compilation; the route LRU starts empty (it is a pure
-    /// cache — cloning shares no routing state and resets the counters).
+    /// cache — cloning shares no routing state, and the clone counts into
+    /// fresh, unbound counters).
     fn clone(&self) -> Self {
         CompiledTopology {
             topology: self.topology.clone(),
@@ -109,8 +112,8 @@ impl Clone for CompiledTopology {
             fingerprint: self.fingerprint,
             closure: self.closure.clone(),
             route_cache: Mutex::new(RouteCache::default()),
-            route_cache_hits: AtomicU64::new(0),
-            route_cache_misses: AtomicU64::new(0),
+            route_cache_hits: Arc::default(),
+            route_cache_misses: Arc::default(),
         }
     }
 }
@@ -142,9 +145,20 @@ impl CompiledTopology {
             fingerprint,
             closure,
             route_cache: Mutex::new(RouteCache::default()),
-            route_cache_hits: AtomicU64::new(0),
-            route_cache_misses: AtomicU64::new(0),
+            route_cache_hits: Arc::default(),
+            route_cache_misses: Arc::default(),
         }
+    }
+
+    /// Counts route LRU lookups into the shared
+    /// `systolic_route_cache_{hits,misses}_total` counters of `obs`
+    /// instead of private ones. Call it before sharing the compilation:
+    /// counts taken earlier stay with the private counters.
+    #[must_use]
+    pub fn with_obs(mut self, obs: &Obs) -> Self {
+        self.route_cache_hits = obs.registry().counter(names::ROUTE_CACHE_HITS);
+        self.route_cache_misses = obs.registry().counter(names::ROUTE_CACHE_MISSES);
+        self
     }
 
     /// Wraps this compilation in an [`Arc`] for sharing.
@@ -238,14 +252,12 @@ impl CompiledTopology {
                 entry.0 = tick;
                 let path = entry.1.clone();
                 drop(cache);
-                // lint: relaxed-ok(pure statistic; fetch_add atomicity alone keeps the count exact)
-                self.route_cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.route_cache_hits.inc();
                 return Ok(Route::new(path));
             }
         }
         let path = self.topology.route_cells(from, to)?;
-        // lint: relaxed-ok(pure statistic; fetch_add atomicity alone keeps the count exact)
-        self.route_cache_misses.fetch_add(1, Ordering::Relaxed);
+        self.route_cache_misses.inc();
         // lint: panic-ok(a poisoned route cache means a panic mid-insert; unrecoverable)
         let mut cache = self.route_cache.lock().expect("route cache poisoned");
         if cache.entries.len() >= ROUTE_CACHE_CAPACITY {
@@ -264,7 +276,9 @@ impl CompiledTopology {
     }
 
     /// Counters of the per-pair route LRU (zeros when the closure or
-    /// closed-form routing serves this topology).
+    /// closed-form routing serves this topology). After
+    /// [`CompiledTopology::with_obs`] the hit/miss counts are the shared
+    /// registry totals of every compilation bound to that bundle.
     #[must_use]
     pub fn route_cache_stats(&self) -> RouteCacheStats {
         // lint: panic-ok(a poisoned route cache means a panic mid-insert; unrecoverable)
@@ -275,10 +289,8 @@ impl CompiledTopology {
             .entries
             .len();
         RouteCacheStats {
-            // lint: relaxed-ok(pure statistic; independent reads need no ordering)
-            hits: self.route_cache_hits.load(Ordering::Relaxed),
-            // lint: relaxed-ok(pure statistic; independent reads need no ordering)
-            misses: self.route_cache_misses.load(Ordering::Relaxed),
+            hits: self.route_cache_hits.get(),
+            misses: self.route_cache_misses.get(),
             entries,
         }
     }
@@ -439,6 +451,20 @@ mod tests {
         let cloned = compiled.clone();
         assert_eq!(cloned.route_cache_stats(), RouteCacheStats::default());
         assert_eq!(cloned.route(c(0), c(n as u32 - 1)).unwrap(), route);
+    }
+
+    #[test]
+    fn observed_route_lru_counts_into_the_registry() {
+        let obs = Obs::new();
+        let topology = line_graph(MAX_CLOSURE_CELLS + 4);
+        let compiled = CompiledTopology::compile(&topology, &AnalysisConfig::default());
+        let compiled = compiled.with_obs(&obs);
+        compiled.route(c(0), c(1)).unwrap();
+        compiled.route(c(0), c(1)).unwrap();
+        let snapshot = obs.registry().snapshot();
+        assert_eq!(snapshot.counter_value(names::ROUTE_CACHE_MISSES, &[]), 1);
+        assert_eq!(snapshot.counter_value(names::ROUTE_CACHE_HITS, &[]), 1);
+        assert_eq!(compiled.route_cache_stats().hits, 1);
     }
 
     #[test]

@@ -639,10 +639,11 @@ impl IncrementalSession {
         };
         let analyzer = match &topology {
             Some(topology) => {
-                let config = self.analyzer.config().clone();
-                self.analyzer.with_compiled_swapped(
-                    CompiledTopology::compile(topology, &config).into_shared(),
-                )
+                let mut compiled = CompiledTopology::compile(topology, self.analyzer.config());
+                if let Some(obs) = self.analyzer.obs() {
+                    compiled = compiled.with_obs(obs);
+                }
+                self.analyzer.with_compiled_swapped(compiled.into_shared())
             }
             None => self.analyzer.clone(),
         };

@@ -91,12 +91,14 @@ pub mod names {
     pub const SERVICE_HANDLE_DURATION: &str = "systolic_service_handle_duration_micros";
     /// Gauge: submitted-but-unclaimed requests in the worker queue.
     pub const SERVICE_QUEUE_DEPTH: &str = "systolic_service_queue_depth";
-    /// Gauge: plan-cache hits (mirrored from the sharded cache).
-    pub const PLAN_CACHE_HITS: &str = "systolic_plan_cache_hits";
-    /// Gauge: plan-cache misses (mirrored from the sharded cache).
-    pub const PLAN_CACHE_MISSES: &str = "systolic_plan_cache_misses";
-    /// Gauge: plan-cache evictions (mirrored from the sharded cache).
-    pub const PLAN_CACHE_EVICTIONS: &str = "systolic_plan_cache_evictions";
+    /// Counter: plan-cache lookups that found an entry.
+    pub const PLAN_CACHE_HITS: &str = "systolic_plan_cache_hits_total";
+    /// Counter: plan-cache lookups that found nothing.
+    pub const PLAN_CACHE_MISSES: &str = "systolic_plan_cache_misses_total";
+    /// Counter: plan-cache entries displaced by LRU pressure.
+    pub const PLAN_CACHE_EVICTIONS: &str = "systolic_plan_cache_evictions_total";
+    /// Gauge: entries resident in the plan cache.
+    pub const PLAN_CACHE_ENTRIES: &str = "systolic_plan_cache_entries";
     /// Gauge: hardware threads visible to the process.
     pub const HW_THREADS: &str = "systolic_hw_threads";
     /// Counter: edit batches applied to incremental analyzer sessions.
@@ -119,12 +121,11 @@ pub mod names {
     /// Counter: incremental sessions evicted from the service table.
     pub const INCREMENTAL_SESSION_EVICTIONS: &str =
         "systolic_service_incremental_session_evictions_total";
-    /// Gauge: per-pair route LRU hits (mirrored from the compiled
-    /// topology).
-    pub const ROUTE_CACHE_HITS: &str = "systolic_route_cache_hits";
-    /// Gauge: per-pair route LRU misses (mirrored from the compiled
-    /// topology).
-    pub const ROUTE_CACHE_MISSES: &str = "systolic_route_cache_misses";
+    /// Counter: per-pair route LRU hits of observed compiled topologies.
+    pub const ROUTE_CACHE_HITS: &str = "systolic_route_cache_hits_total";
+    /// Counter: per-pair route LRU misses (BFS searches) of observed
+    /// compiled topologies.
+    pub const ROUTE_CACHE_MISSES: &str = "systolic_route_cache_misses_total";
     /// Counter: cached plan outcomes restored from a snapshot load.
     pub const SNAPSHOT_LOADED_PLANS: &str = "systolic_service_snapshot_loaded_plans_total";
     /// Counter: incremental seed inputs restored from a snapshot load.

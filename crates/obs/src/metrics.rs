@@ -79,8 +79,8 @@ impl Counter {
     }
 }
 
-/// A signed gauge: a value that can move both ways (queue depth, window
-/// size, mirrored cache statistics).
+/// A signed gauge: a value that can move both ways (queue depth, cache
+/// entries, session-table occupancy).
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicI64);
 

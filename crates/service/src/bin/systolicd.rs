@@ -79,7 +79,7 @@ use std::time::Instant;
 
 use systolic_service::daemon::{DaemonCommand, GenOptions, OptionsError, ServeOptions, USAGE};
 use systolic_service::wire::{parse_line, read_line, WireRequest, WireResponse};
-use systolic_service::{AnalysisService, Json, Ticket};
+use systolic_service::{AnalysisService, Json, Summary, Ticket};
 use systolic_workloads::traffic;
 
 /// Writes one output line, turning stdout failures into process exits
@@ -331,9 +331,9 @@ fn serve_main(options: &ServeOptions) {
         0.0
     };
 
+    let summary = Summary::new(&service.registry_snapshot(), config.arena_budget());
     if options.summary {
-        let stats = service.stats();
-        let mut table = stats.table();
+        let mut table = summary.table();
         table.row(["wall time (s)", &format!("{secs:.3}")]);
         table.row(["throughput (req/s)", &format!("{throughput:.0}")]);
         table.row(["invalid lines", &invalid.to_string()]);
@@ -341,66 +341,16 @@ fn serve_main(options: &ServeOptions) {
     }
 
     if options.summary_json {
-        let stats = service.stats();
-        let snapshot = service.registry_snapshot();
-        let arenas = stats.arena_cache;
-        let mut members = vec![
-            ("requests".to_owned(), Json::Num(stats.requests as f64)),
-            ("invalid_lines".to_owned(), Json::Num(invalid as f64)),
-            ("wall_seconds".to_owned(), Json::Num(secs)),
-            ("throughput_per_sec".to_owned(), Json::Num(throughput)),
-            ("cache_hits".to_owned(), Json::Num(stats.cache.hits as f64)),
-            (
-                "cache_misses".to_owned(),
-                Json::Num(stats.cache.misses as f64),
-            ),
-            (
-                "cache_hit_rate".to_owned(),
-                Json::Num(stats.cache.hit_rate()),
-            ),
-            ("latency_mean_us".to_owned(), Json::Num(stats.mean_micros)),
-            ("latency_p50_us".to_owned(), Json::Num(stats.p50_micros)),
-            ("latency_p99_us".to_owned(), Json::Num(stats.p99_micros)),
-            (
-                "latency_max_us".to_owned(),
-                Json::Num(stats.max_micros as f64),
-            ),
-            ("arena_hits".to_owned(), Json::Num(arenas.hits as f64)),
-            ("arena_misses".to_owned(), Json::Num(arenas.misses as f64)),
-            (
-                "arena_evictions".to_owned(),
-                Json::Num(arenas.evictions as f64),
-            ),
-            (
-                "hw_threads".to_owned(),
-                Json::Num(snapshot.gauge_value(systolic_obs::names::HW_THREADS, &[]) as f64),
-            ),
-        ];
-        let snap = stats.snapshot;
-        if snap.loads + snap.saves + snap.load_rejected > 0 {
-            members.push(("snapshot_loads".to_owned(), Json::Num(snap.loads as f64)));
-            members.push((
-                "snapshot_plans_restored".to_owned(),
-                Json::Num(snap.loaded_plans as f64),
-            ));
-            members.push((
-                "snapshot_seeds_restored".to_owned(),
-                Json::Num(snap.loaded_seeds as f64),
-            ));
-            members.push((
-                "snapshot_dropped".to_owned(),
-                Json::Num(snap.dropped as f64),
-            ));
-            members.push((
-                "snapshot_loads_rejected".to_owned(),
-                Json::Num(snap.load_rejected as f64),
-            ));
-            members.push(("snapshot_saves".to_owned(), Json::Num(snap.saves as f64)));
-            members.push((
-                "snapshot_warm_hits".to_owned(),
-                Json::Num(snap.warm_hits as f64),
-            ));
-        }
+        let mut members = summary.json_members();
+        // The daemon's own figures follow `requests`.
+        members.splice(
+            1..1,
+            [
+                ("invalid_lines".to_owned(), Json::Num(invalid as f64)),
+                ("wall_seconds".to_owned(), Json::Num(secs)),
+                ("throughput_per_sec".to_owned(), Json::Num(throughput)),
+            ],
+        );
         eprintln!("{}", Json::Obj(members));
     }
 

@@ -5,12 +5,15 @@
 //! values (the service stores `Arc`ed analysis outcomes). Sharding bounds
 //! lock contention: a request locks only the shard its key hashes to, so
 //! N shards admit N concurrent cache operations. Each shard keeps an exact
-//! LRU order (recency tick per entry) and hit/miss/eviction/insertion
-//! counters.
+//! LRU order (recency tick per entry); hits, misses, evictions and the
+//! entry count go to lock-free instruments shared by all shards — the
+//! plan cache's are the registry's `systolic_plan_cache_*` series.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
+use systolic_obs::{names, Counter, Gauge, Obs};
 
 /// Configuration of a [`ShardedCache`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -32,7 +35,7 @@ impl Default for CacheConfig {
     }
 }
 
-/// Counter snapshot of one shard (or, summed, of the whole cache).
+/// Counter snapshot of a whole cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CacheStats {
     /// Lookups that found an entry.
@@ -41,31 +44,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries displaced by LRU pressure.
     pub evictions: u64,
-    /// Entries successfully inserted.
-    pub insertions: u64,
     /// Entries currently resident.
     pub entries: usize,
-}
-
-impl CacheStats {
-    fn add(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.insertions += other.insertions;
-        self.entries += other.entries;
-    }
-
-    /// Hit rate in `0.0..=1.0` (0.0 before any lookups).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 struct Shard<V> {
@@ -74,7 +54,6 @@ struct Shard<V> {
     /// recency tick → key; the smallest tick is the LRU entry.
     by_tick: BTreeMap<u64, u128>,
     tick: u64,
-    stats: CacheStats,
 }
 
 impl<V> Shard<V> {
@@ -83,7 +62,6 @@ impl<V> Shard<V> {
             entries: HashMap::new(),
             by_tick: BTreeMap::new(),
             tick: 0,
-            stats: CacheStats::default(),
         }
     }
 
@@ -126,16 +104,40 @@ fn shard_index(key: u128, shards: usize) -> usize {
 pub struct ShardedCache<V> {
     shards: Vec<Mutex<Shard<V>>>,
     capacity_per_shard: usize,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    entries: Arc<Gauge>,
 }
 
 impl<V: Clone> ShardedCache<V> {
-    /// Creates an empty cache with `config.shards` shards.
+    /// Creates an empty cache with `config.shards` shards, counting into
+    /// private instruments.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
         let shards = config.shards.max(1);
         ShardedCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             capacity_per_shard: config.capacity_per_shard.max(1),
+            hits: Arc::default(),
+            misses: Arc::default(),
+            evictions: Arc::default(),
+            entries: Arc::default(),
+        }
+    }
+
+    /// As [`ShardedCache::new`], but counting into the plan-cache series
+    /// of `obs`: the `systolic_plan_cache_{hits,misses,evictions}_total`
+    /// counters and the `systolic_plan_cache_entries` gauge.
+    #[must_use]
+    pub(crate) fn with_obs(config: CacheConfig, obs: &Obs) -> Self {
+        let registry = obs.registry();
+        ShardedCache {
+            hits: registry.counter(names::PLAN_CACHE_HITS),
+            misses: registry.counter(names::PLAN_CACHE_MISSES),
+            evictions: registry.counter(names::PLAN_CACHE_EVICTIONS),
+            entries: registry.gauge(names::PLAN_CACHE_ENTRIES),
+            ..ShardedCache::new(config)
         }
     }
 
@@ -159,10 +161,12 @@ impl<V: Clone> ShardedCache<V> {
             let value = value.clone();
             shard.by_tick.remove(&prev);
             shard.by_tick.insert(tick, key);
-            shard.stats.hits += 1;
+            drop(shard);
+            self.hits.inc();
             Some(value)
         } else {
-            shard.stats.misses += 1;
+            drop(shard);
+            self.misses.inc();
             None
         }
     }
@@ -183,13 +187,14 @@ impl<V: Clone> ShardedCache<V> {
             if let Some((&lru_tick, &lru_key)) = shard.by_tick.iter().next() {
                 shard.by_tick.remove(&lru_tick);
                 shard.entries.remove(&lru_key);
-                shard.stats.evictions += 1;
+                self.evictions.inc();
+                self.entries.add(-1);
             }
         }
         let tick = shard.next_tick();
         shard.entries.insert(key, (tick, value.clone()));
         shard.by_tick.insert(tick, key);
-        shard.stats.insertions += 1;
+        self.entries.add(1);
         (value, true)
     }
 
@@ -238,31 +243,15 @@ impl<V: Clone> ShardedCache<V> {
         self.len() == 0
     }
 
-    /// Counters summed across shards.
+    /// The cache's instruments, read without taking a shard lock.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in &self.shards {
-            let s = shard.lock();
-            let mut snapshot = s.stats;
-            snapshot.entries = s.entries.len();
-            total.add(&snapshot);
+        CacheStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            entries: usize::try_from(self.entries.get()).unwrap_or(0),
         }
-        total
-    }
-
-    /// Per-shard counter snapshots, in shard order.
-    #[must_use]
-    pub fn per_shard_stats(&self) -> Vec<CacheStats> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let s = shard.lock();
-                let mut snapshot = s.stats;
-                snapshot.entries = s.entries.len();
-                snapshot
-            })
-            .collect()
     }
 }
 
@@ -317,7 +306,7 @@ mod tests {
         assert_eq!(c.insert(10, 1), (1, true));
         assert_eq!(c.get(10), Some(1));
         let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.insertions, s.entries), (1, 1, 1, 1));
+        assert_eq!((s.hits, s.misses, s.evictions, s.entries), (1, 1, 0, 1));
     }
 
     #[test]
@@ -327,7 +316,7 @@ mod tests {
         assert_eq!(c.insert(5, 200), (100, false));
         assert_eq!(c.get(5), Some(100));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.stats().insertions, 1);
+        assert_eq!(c.stats().entries, 1);
     }
 
     #[test]
@@ -356,7 +345,7 @@ mod tests {
         }
         let resident = keys.iter().filter(|&&k| c.get(k).is_some()).count();
         assert_eq!(resident, 4);
-        assert_eq!(c.per_shard_stats().len(), 4);
+        assert!(c.shards.iter().all(|shard| shard.lock().entries.len() == 1));
     }
 
     #[test]
@@ -396,15 +385,24 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_reflects_counters() {
-        let c = small(2, 4);
-        assert_eq!(c.stats().hit_rate(), 0.0);
+    fn observed_cache_counts_into_the_plan_cache_series() {
+        let obs = Obs::new();
+        let c: ShardedCache<u32> = ShardedCache::with_obs(
+            CacheConfig {
+                shards: 1,
+                capacity_per_shard: 1,
+            },
+            &obs,
+        );
+        assert_eq!(c.get(1), None);
         c.insert(1, 1);
-        let _ = c.get(1);
-        let _ = c.get(1);
-        let _ = c.get(9);
-        let rate = c.stats().hit_rate();
-        assert!((rate - 2.0 / 3.0).abs() < 1e-9, "rate = {rate}");
+        c.insert(2, 2);
+        assert_eq!(c.get(2), Some(2));
+        let snapshot = obs.registry().snapshot();
+        assert_eq!(snapshot.counter_value(names::PLAN_CACHE_HITS, &[]), 1);
+        assert_eq!(snapshot.counter_value(names::PLAN_CACHE_MISSES, &[]), 1);
+        assert_eq!(snapshot.counter_value(names::PLAN_CACHE_EVICTIONS, &[]), 1);
+        assert_eq!(snapshot.gauge_value(names::PLAN_CACHE_ENTRIES, &[]), 1);
     }
 
     #[test]
@@ -421,6 +419,6 @@ mod tests {
         assert_eq!(c.len(), 1);
         // Every thread observed the same winning value.
         assert!(winners.windows(2).all(|w| w[0] == w[1]));
-        assert_eq!(c.stats().insertions, 1);
+        assert_eq!(c.stats().entries, 1);
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! * [`ShardedCache`] — an N-shard, mutex-per-shard LRU plan cache keyed
 //!   by the 128-bit content fingerprint of `(Program, Topology,
-//!   AnalysisConfig)` ([`systolic_core::request_fingerprint`]), with
-//!   hit/miss/eviction counters per shard;
+//!   AnalysisConfig)` ([`systolic_core::request_fingerprint`]), counting
+//!   hits, misses, evictions and entries straight into the registry;
 //! * [`BoundedQueue`] — the bounded submission queue whose blocking
 //!   `push` is the service's backpressure;
 //! * [`AnalysisService`] — the worker pool: fingerprints each request,
@@ -27,10 +27,12 @@
 //! * observability — every service shares one
 //!   [`Obs`](systolic_obs::Obs) bundle
 //!   ([`AnalysisService::with_obs`]): analyzer stage timings, arena-cache
-//!   counters, and request/verify spans all land in its
-//!   registry/tracer, exported as a Prometheus text exposition
-//!   ([`AnalysisService::registry_snapshot`]), a `metrics` wire op
-//!   ([`wire::WireResponse::Metrics`]), or a JSONL span log;
+//!   counters, cache counters, and request/verify spans all land in its
+//!   registry/tracer — the only place a count lives. One
+//!   [`AnalysisService::registry_snapshot`] feeds every export: the
+//!   Prometheus text exposition, the `metrics` wire op
+//!   ([`wire::WireResponse::Metrics`]) and the `--summary` /
+//!   `--summary-json` views ([`Summary`]); spans go to a JSONL log;
 //! * snapshot persistence — [`AnalysisService::save_snapshot`] /
 //!   [`AnalysisService::load_snapshot`] round-trip the plan cache and its
 //!   recorded seed inputs through the versioned binary container in
@@ -41,6 +43,7 @@
 //! # Examples
 //!
 //! ```
+//! use systolic_obs::names;
 //! use systolic_service::{AnalysisRequest, AnalysisService, ServiceConfig};
 //! use systolic_workloads::{traffic, TrafficConfig};
 //!
@@ -51,8 +54,9 @@
 //!     .collect();
 //! let responses = service.run_batch(requests);
 //! assert_eq!(responses.len(), 100);
-//! let stats = service.stats();
-//! assert!(stats.cache.hits > 0, "hot traffic repeats must hit the cache");
+//! let metrics = service.registry_snapshot();
+//! let hits = metrics.counter_value(names::PLAN_CACHE_HITS, &[]);
+//! assert!(hits > 0, "hot traffic repeats must hit the cache");
 //! ```
 
 #![warn(missing_docs)]
@@ -65,16 +69,17 @@ mod json;
 mod queue;
 mod service;
 mod snapshot;
+mod summary;
 pub mod wire;
 
 pub use cache::{CacheConfig, CacheStats, ShardedCache};
 pub use json::{Json, JsonError};
 pub use queue::{BoundedQueue, QueueClosed};
 pub use service::{
-    AnalysisRequest, AnalysisResponse, AnalysisService, ArenaCacheStats, CacheProvenance,
-    Certified, EditRequestError, EditResponse, IncrementalStats, NamedEditOp, Rejection,
-    ServiceConfig, ServiceError, ServiceOutcome, ServiceStats, SnapshotReport, SnapshotStats,
-    Ticket, TopologyVerifyStats,
+    AnalysisRequest, AnalysisResponse, AnalysisService, CacheProvenance, Certified,
+    EditRequestError, EditResponse, NamedEditOp, Rejection, ServiceConfig, ServiceError,
+    ServiceOutcome, SnapshotReport, Ticket,
 };
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use summary::Summary;
 pub use systolic_sim::{ArenaBudget, ArenaLookup, ArenaLru};

@@ -18,7 +18,7 @@
 //! full — backpressure, not unbounded buffering, is the overload
 //! response.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -28,11 +28,10 @@ use parking_lot::Mutex;
 use systolic_core::{
     request_fingerprint, AnalysisConfig, Analyzer, CommPlan, CompiledTopology, CoreError,
     Diagnostic, EditError, EditOp, IncrementalConfig, IncrementalSession, Label, LabelingMethod,
-    ReuseReport, RouteCacheStats,
+    ReuseReport,
 };
 use systolic_model::{CanonicalHash, ModelError, Op, Program, Topology};
 use systolic_obs::{names, Counter, Gauge, Histogram, Obs, RegistrySnapshot, SpanCtx};
-use systolic_report::Table;
 use systolic_sim::{ArenaBudget, SimConfig, VerifyReport};
 use systolic_workloads::TrafficItem;
 
@@ -350,43 +349,20 @@ struct Job {
     reply: mpsc::Sender<AnalysisResponse>,
 }
 
-/// Counter snapshot of the workers' verification-arena LRUs, summed
-/// across all workers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ArenaCacheStats {
-    /// Chases served by a resident (warm) arena.
-    pub hits: u64,
-    /// Chases that had to build an arena.
-    pub misses: u64,
-    /// Arenas displaced by LRU pressure.
-    pub evictions: u64,
-}
-
-impl ArenaCacheStats {
-    /// Hit rate in `0.0..=1.0` (0.0 before any chases).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Registry instruments the service's hot paths touch, resolved once at
 /// construction so per-request work is atomics only (no registry lock).
 ///
-/// Arena-cache counters are deliberately **absent**: the per-worker
-/// [`ArenaLru`]s themselves are the single writers of the
-/// `systolic_arena_cache_*` series, so chases are counted once.
+/// Cache counters are deliberately **absent**: the plan cache
+/// ([`ShardedCache::with_obs`]), the per-worker [`ArenaLru`]s and the
+/// observed compilations' route LRUs are the single writers of their
+/// `systolic_{plan,arena,route}_cache_*` series, so each lookup is
+/// counted once.
 #[derive(Debug)]
 struct ServiceMetrics {
     /// `systolic_service_requests_total`.
     requests: Arc<Counter>,
     /// `systolic_service_handle_duration_micros` — also the source of the
-    /// [`ServiceStats`] latency percentiles.
+    /// summary's latency percentiles.
     handle_micros: Arc<Histogram>,
     /// `systolic_service_queue_depth`, maintained by `submit`/worker pop.
     queue_depth: Arc<Gauge>,
@@ -413,38 +389,6 @@ impl ServiceMetrics {
             snapshot_warm_hits: registry.counter(names::SNAPSHOT_WARM_HITS),
         }
     }
-}
-
-/// Counter snapshot of the incremental edit path (the
-/// `systolic_analyzer_incremental_*` registry series plus the session
-/// table), for [`ServiceStats`] and the `--summary` report.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct IncrementalStats {
-    /// Edit batches applied (successful applies, certified or rejected).
-    pub edits: u64,
-    /// Edits that reused at least one warm stage artifact.
-    pub reuse_hits: u64,
-    /// Edits that fell back to from-scratch analysis.
-    pub fallbacks: u64,
-    /// Cells dirtied across all edit batches.
-    pub dirty_cells: u64,
-    /// Warm sessions currently resident in the table.
-    pub sessions: u64,
-    /// Sessions evicted by the table's capacity bound.
-    pub evictions: u64,
-}
-
-/// Verification outcomes for one topology spec — the per-topology
-/// breakdown the `--summary` report shows.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TopologyVerifyStats {
-    /// The topology's spec string ([`Topology::spec`]).
-    pub spec: String,
-    /// Chases whose replay completed (Theorem 1 held end to end).
-    pub verified: u64,
-    /// Chases whose replay did **not** complete (deadlocked or hit the
-    /// cycle limit under the configured [`SimConfig`]).
-    pub blocked: u64,
 }
 
 /// Why a verification chase failed to produce a report.
@@ -601,10 +545,6 @@ struct Inner {
     /// pair.
     obs: Arc<Obs>,
     metrics: ServiceMetrics,
-    /// Topology spec → (verified, blocked) chase tallies, for the
-    /// per-topology summary breakdown. `BTreeMap` so reports render in a
-    /// stable order.
-    verify_by_topology: Mutex<BTreeMap<String, (u64, u64)>>,
     /// Request inputs per fingerprint (bounded like the plan cache), the
     /// seed source for cold `edit` bases.
     seeds: ShardedCache<Arc<SeedInputs>>,
@@ -617,59 +557,29 @@ struct Inner {
     warm: Mutex<std::collections::HashSet<u128>>,
     /// `true` once any snapshot import installed at least one entry.
     warm_active: std::sync::atomic::AtomicBool,
-    /// Cumulative snapshot activity, reported by [`ServiceStats`].
-    snapshot_tally: Mutex<SnapshotStats>,
 }
 
 impl Inner {
+    /// Counts one chase under `systolic_verify_outcomes_total`, the
+    /// source of the summary's per-topology `verify[...]` rows.
     fn tally_chase(&self, topology: &Topology, report: &VerifyReport) {
-        let spec = topology.spec();
         let outcome = if report.completed { "ok" } else { "blocked" };
-        // Per-chase registry lookup is fine here: tally_chase already
-        // serializes on the verify_by_topology mutex.
         self.obs
             .registry()
             .counter_with(
                 names::VERIFY_OUTCOMES,
-                &[("topology", &spec), ("outcome", outcome)],
+                &[("topology", &topology.spec()), ("outcome", outcome)],
             )
             .inc();
-        let mut tallies = self.verify_by_topology.lock();
-        let entry = tallies.entry(spec).or_insert((0, 0));
-        if report.completed {
-            entry.0 += 1;
-        } else {
-            entry.1 += 1;
-        }
     }
-}
 
-/// Cumulative snapshot-persistence counters, for [`ServiceStats`] and the
-/// `--summary` report. All-zero until the service loads or saves a
-/// snapshot.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct SnapshotStats {
-    /// Snapshot imports that fully parsed and installed.
-    pub loads: u64,
-    /// Cached plan outcomes restored across all loads.
-    pub loaded_plans: u64,
-    /// Incremental seed inputs restored across all loads.
-    pub loaded_seeds: u64,
-    /// Entries dropped during loads (config-skewed, re-fingerprint
-    /// mismatches, plans without a surviving seed) — the loads themselves
-    /// still succeeded.
-    pub dropped: u64,
-    /// Whole snapshot loads rejected (corrupt, truncated, or
-    /// version-skewed files); nothing was installed and the service kept
-    /// serving cold.
-    pub load_rejected: u64,
-    /// Snapshots written.
-    pub saves: u64,
-    /// Bytes in the most recently written snapshot.
-    pub last_save_bytes: u64,
-    /// Cache hits served from snapshot-warmed entries
-    /// ([`CacheProvenance::Warm`]).
-    pub warm_hits: u64,
+    /// Compiles `(topology, config)` with its route LRU counting into the
+    /// shared registry.
+    fn compile(&self, topology: &Topology, config: &AnalysisConfig) -> Arc<CompiledTopology> {
+        CompiledTopology::compile(topology, config)
+            .with_obs(&self.obs)
+            .into_shared()
+    }
 }
 
 /// What one snapshot operation ([`AnalysisService::import_snapshot`] /
@@ -687,114 +597,6 @@ pub struct SnapshotReport {
     pub bytes: u64,
     /// Wall time of the operation, microseconds.
     pub micros: u64,
-}
-
-/// Aggregate service statistics (request latencies + cache counters).
-///
-/// Latency percentiles come from the lock-free log2-bucket
-/// `systolic_service_handle_duration_micros` histogram: an estimate is
-/// the inclusive upper bound of the bucket holding the ranked sample
-/// (capped by the exact max), so it **overestimates by less than 2× (one
-/// octave) and never underestimates**. Mean, count, and max are exact.
-#[derive(Clone, Debug)]
-pub struct ServiceStats {
-    /// Requests answered.
-    pub requests: u64,
-    /// Mean in-worker handling time, microseconds.
-    pub mean_micros: f64,
-    /// Median handling time, microseconds (histogram estimate, < 2×
-    /// overestimate, never an underestimate).
-    pub p50_micros: f64,
-    /// 99th-percentile handling time, microseconds (histogram estimate,
-    /// < 2× overestimate, never an underestimate).
-    pub p99_micros: f64,
-    /// Worst handling time, microseconds.
-    pub max_micros: u64,
-    /// Plan-cache counters.
-    pub cache: CacheStats,
-    /// Verification-arena LRU counters, summed across all workers.
-    pub arena_cache: ArenaCacheStats,
-    /// The arena residency budget every chasing thread's LRU enforces.
-    pub arena_budget: ArenaBudget,
-    /// Per-topology verification outcomes (spec order), populated when
-    /// the service chases plans (`verify` on).
-    pub verify_topologies: Vec<TopologyVerifyStats>,
-    /// Incremental edit-path counters (all-zero until the first `edit`).
-    pub incremental: IncrementalStats,
-    /// Snapshot persistence counters (all-zero until the first snapshot
-    /// load or save).
-    pub snapshot: SnapshotStats,
-}
-
-/// Renders an [`ArenaBudget`] for the summary table.
-fn budget_label(budget: ArenaBudget) -> String {
-    match budget {
-        ArenaBudget::Fixed(n) => format!("{n} arenas/thread"),
-        ArenaBudget::Auto => "auto (observed topologies)".to_owned(),
-        ArenaBudget::MemBytes(bytes) => format!("{bytes} bytes/thread"),
-    }
-}
-
-impl ServiceStats {
-    /// Renders the stats as a two-column report table.
-    #[must_use]
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(["metric", "value"]);
-        t.row(["requests", &self.requests.to_string()]);
-        t.row(["cache hits", &self.cache.hits.to_string()]);
-        t.row(["cache misses", &self.cache.misses.to_string()]);
-        t.row(["cache evictions", &self.cache.evictions.to_string()]);
-        t.row(["cache entries", &self.cache.entries.to_string()]);
-        t.row([
-            "hit rate",
-            &format!("{:.1}%", self.cache.hit_rate() * 100.0),
-        ]);
-        t.row(["latency mean (us)", &format!("{:.1}", self.mean_micros)]);
-        t.row(["latency p50 (us)", &format!("{:.1}", self.p50_micros)]);
-        t.row(["latency p99 (us)", &format!("{:.1}", self.p99_micros)]);
-        t.row(["latency max (us)", &self.max_micros.to_string()]);
-        let arenas = self.arena_cache;
-        if arenas.hits + arenas.misses > 0 {
-            t.row(["arena cache hits", &arenas.hits.to_string()]);
-            t.row(["arena cache misses", &arenas.misses.to_string()]);
-            t.row(["arena cache evictions", &arenas.evictions.to_string()]);
-            t.row([
-                "arena hit rate",
-                &format!("{:.1}%", arenas.hit_rate() * 100.0),
-            ]);
-            t.row(["arena cache budget", &budget_label(self.arena_budget)]);
-        }
-        for topology in &self.verify_topologies {
-            t.row([
-                &format!("verify[{}]", topology.spec),
-                &format!("{} ok / {} blocked", topology.verified, topology.blocked),
-            ]);
-        }
-        let inc = self.incremental;
-        if inc.edits > 0 {
-            t.row(["incremental edits", &inc.edits.to_string()]);
-            t.row(["incremental reuse hits", &inc.reuse_hits.to_string()]);
-            t.row(["incremental fallbacks", &inc.fallbacks.to_string()]);
-            t.row(["incremental dirty cells", &inc.dirty_cells.to_string()]);
-            t.row(["incremental sessions", &inc.sessions.to_string()]);
-            t.row(["incremental session evictions", &inc.evictions.to_string()]);
-        }
-        let snap = self.snapshot;
-        if snap.loads + snap.saves + snap.load_rejected > 0 {
-            t.row(["snapshot loads", &snap.loads.to_string()]);
-            t.row(["snapshot plans restored", &snap.loaded_plans.to_string()]);
-            t.row(["snapshot seeds restored", &snap.loaded_seeds.to_string()]);
-            t.row(["snapshot entries dropped", &snap.dropped.to_string()]);
-            t.row(["snapshot loads rejected", &snap.load_rejected.to_string()]);
-            t.row(["snapshot saves", &snap.saves.to_string()]);
-            t.row([
-                "snapshot last save bytes",
-                &snap.last_save_bytes.to_string(),
-            ]);
-            t.row(["snapshot warm hits", &snap.warm_hits.to_string()]);
-        }
-        t
-    }
 }
 
 /// The sharded, cached, batch analysis service.
@@ -856,12 +658,11 @@ impl AnalysisService {
         edit_arenas.set_obs(&obs);
         let inner = Arc::new(Inner {
             queue: BoundedQueue::new(config.queue_depth),
-            cache: ShardedCache::new(config.cache),
+            cache: ShardedCache::with_obs(config.cache, &obs),
             compilations: ShardedCache::new(config.compilation_cache),
             config,
             obs,
             metrics,
-            verify_by_topology: Mutex::new(BTreeMap::new()),
             seeds: ShardedCache::new(config.cache),
             edit_state: Mutex::new(EditState {
                 sessions: HashMap::new(),
@@ -870,7 +671,6 @@ impl AnalysisService {
             }),
             warm: Mutex::new(std::collections::HashSet::new()),
             warm_active: std::sync::atomic::AtomicBool::new(false),
-            snapshot_tally: Mutex::new(SnapshotStats::default()),
         });
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -1073,12 +873,6 @@ impl AnalysisService {
         self.inner.cache.stats()
     }
 
-    /// Per-shard counter snapshots of the plan cache.
-    #[must_use]
-    pub fn per_shard_cache_stats(&self) -> Vec<CacheStats> {
-        self.inner.cache.per_shard_stats()
-    }
-
     /// Entries currently resident in the plan cache.
     #[must_use]
     pub fn cache_entries(&self) -> usize {
@@ -1101,141 +895,12 @@ impl AnalysisService {
         &self.inner.obs
     }
 
-    /// An owned snapshot of the metrics registry, with the plan-cache
-    /// counters mirrored into the `systolic_plan_cache_*` export gauges
-    /// first — the one-stop input for `--metrics-file` and the `metrics`
-    /// wire op.
+    /// An owned snapshot of the metrics registry — the one source every
+    /// report renders from: `--metrics-file`, the `metrics` wire op and
+    /// the `--summary` / `--summary-json` views ([`crate::Summary`]).
     #[must_use]
     pub fn registry_snapshot(&self) -> RegistrySnapshot {
-        let cache = self.inner.cache.stats();
-        let clamp = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        let registry = self.inner.obs.registry();
-        registry
-            .gauge(names::PLAN_CACHE_HITS)
-            .set(clamp(cache.hits));
-        registry
-            .gauge(names::PLAN_CACHE_MISSES)
-            .set(clamp(cache.misses));
-        registry
-            .gauge(names::PLAN_CACHE_EVICTIONS)
-            .set(clamp(cache.evictions));
-        let routes = self.route_cache_stats();
-        registry
-            .gauge(names::ROUTE_CACHE_HITS)
-            .set(clamp(routes.hits));
-        registry
-            .gauge(names::ROUTE_CACHE_MISSES)
-            .set(clamp(routes.misses));
-        registry.snapshot()
-    }
-
-    /// Per-pair route LRU counters summed across every compiled topology
-    /// the service holds — the compilation cache plus any live
-    /// incremental-session analyzers. Distinct `CompiledTopology`
-    /// instances are deduplicated by identity (a session seeded from the
-    /// compilation cache shares its compiled topology, and must not be
-    /// counted twice). All-zero unless some topology exceeded the
-    /// [`systolic_core::MAX_CLOSURE_CELLS`] route-closure limit.
-    #[must_use]
-    pub fn route_cache_stats(&self) -> RouteCacheStats {
-        let mut total = RouteCacheStats::default();
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        let mut add = |compiled: &Arc<CompiledTopology>| {
-            if seen.insert(Arc::as_ptr(compiled) as usize) {
-                let stats = compiled.route_cache_stats();
-                total.hits += stats.hits;
-                total.misses += stats.misses;
-                total.entries += stats.entries;
-            }
-        };
-        for compiled in self.inner.compilations.values() {
-            add(&compiled);
-        }
-        let state = self.inner.edit_state.lock();
-        for slot in state.sessions.values() {
-            add(slot.session.analyzer().compiled());
-        }
-        total
-    }
-
-    /// Counter snapshot of the incremental edit path: the
-    /// `systolic_analyzer_incremental_*` registry series plus the live
-    /// session-table occupancy. All-zero until the first
-    /// [`AnalysisService::apply_edit`].
-    #[must_use]
-    pub fn incremental_stats(&self) -> IncrementalStats {
-        let snapshot = self.inner.obs.registry().snapshot();
-        IncrementalStats {
-            edits: snapshot.counter_total(names::INCREMENTAL_EDITS),
-            reuse_hits: snapshot.counter_total(names::INCREMENTAL_HITS),
-            fallbacks: snapshot.counter_total(names::INCREMENTAL_FALLBACKS),
-            dirty_cells: snapshot.counter_total(names::INCREMENTAL_DIRTY_CELLS),
-            sessions: self.inner.edit_state.lock().sessions.len() as u64,
-            evictions: snapshot.counter_total(names::INCREMENTAL_SESSION_EVICTIONS),
-        }
-    }
-
-    /// Counter snapshot of the verification-arena LRUs, summed across all
-    /// workers (and the edit path's LRU). All-zero unless the service
-    /// chases plans (`verify` on).
-    #[must_use]
-    pub fn arena_cache_stats(&self) -> ArenaCacheStats {
-        // The ArenaLrus are the single writers of these series, so the
-        // registry totals count every chase once.
-        let snapshot = self.inner.obs.registry().snapshot();
-        ArenaCacheStats {
-            hits: snapshot.counter_total(names::ARENA_CACHE_HITS),
-            misses: snapshot.counter_total(names::ARENA_CACHE_MISSES),
-            evictions: snapshot.counter_total(names::ARENA_CACHE_EVICTIONS),
-        }
-    }
-
-    /// Per-topology verification outcomes so far, in spec order. Empty
-    /// unless the service chases plans (`verify` on).
-    #[must_use]
-    pub fn verify_topology_stats(&self) -> Vec<TopologyVerifyStats> {
-        self.inner
-            .verify_by_topology
-            .lock()
-            .iter()
-            .map(|(spec, &(verified, blocked))| TopologyVerifyStats {
-                spec: spec.clone(),
-                verified,
-                blocked,
-            })
-            .collect()
-    }
-
-    /// Aggregate latency + cache statistics. Percentiles are log2-bucket
-    /// histogram estimates (< 2× overestimate, never an underestimate —
-    /// see [`ServiceStats`]); count, mean, and max are exact.
-    #[must_use]
-    pub fn stats(&self) -> ServiceStats {
-        // Three atomic-array reads — no lock, no sort, regardless of how
-        // many requests have been served.
-        let latency = self.inner.metrics.handle_micros.snapshot();
-        ServiceStats {
-            requests: latency.count,
-            mean_micros: latency.mean(),
-            p50_micros: latency.quantile(0.5) as f64,
-            p99_micros: latency.quantile(0.99) as f64,
-            max_micros: latency.max,
-            cache: self.inner.cache.stats(),
-            arena_cache: self.arena_cache_stats(),
-            arena_budget: self.inner.config.arena_budget(),
-            verify_topologies: self.verify_topology_stats(),
-            incremental: self.incremental_stats(),
-            snapshot: self.snapshot_stats(),
-        }
-    }
-
-    /// Cumulative snapshot-persistence counters (all-zero until the first
-    /// snapshot load or save).
-    #[must_use]
-    pub fn snapshot_stats(&self) -> SnapshotStats {
-        let mut stats = *self.inner.snapshot_tally.lock();
-        stats.warm_hits = self.inner.metrics.snapshot_warm_hits.get();
-        stats
+        self.inner.obs.registry().snapshot()
     }
 
     /// Stages the current warm state — every cached plan outcome plus the
@@ -1305,7 +970,6 @@ impl AnalysisService {
             Ok(data) => data,
             Err(error) => {
                 registry.counter(names::SNAPSHOT_LOAD_REJECTED).inc();
-                self.inner.snapshot_tally.lock().load_rejected += 1;
                 return Err(error);
             }
         };
@@ -1331,8 +995,7 @@ impl AnalysisService {
             let compiled = match self.inner.compilations.get(key) {
                 Some(compiled) => compiled,
                 None => {
-                    let built =
-                        CompiledTopology::compile(&seed.topology, &seed.config).into_shared();
+                    let built = self.inner.compile(&seed.topology, &seed.config);
                     self.inner.compilations.insert(key, built).0
                 }
             };
@@ -1394,13 +1057,6 @@ impl AnalysisService {
         registry
             .histogram(names::SNAPSHOT_LOAD_DURATION)
             .record(micros);
-        {
-            let mut tally = self.inner.snapshot_tally.lock();
-            tally.loads += 1;
-            tally.loaded_plans += loaded_plans;
-            tally.loaded_seeds += loaded_seeds;
-            tally.dropped += total_dropped;
-        }
         Ok(SnapshotReport {
             plans: loaded_plans,
             seeds: loaded_seeds,
@@ -1428,11 +1084,6 @@ impl AnalysisService {
         registry
             .histogram(names::SNAPSHOT_SAVE_DURATION)
             .record(micros);
-        {
-            let mut tally = self.inner.snapshot_tally.lock();
-            tally.saves += 1;
-            tally.last_save_bytes = bytes.len() as u64;
-        }
         Ok(SnapshotReport {
             plans,
             seeds,
@@ -1454,7 +1105,6 @@ impl AnalysisService {
                     .registry()
                     .counter(names::SNAPSHOT_LOAD_REJECTED)
                     .inc();
-                self.inner.snapshot_tally.lock().load_rejected += 1;
                 return Err(SnapshotError::Io(error));
             }
         };
@@ -1666,7 +1316,7 @@ fn compiled_for(inner: &Inner, request: &AnalysisRequest) -> Arc<CompiledTopolog
     match inner.compilations.get(key) {
         Some(compiled) => compiled,
         None => {
-            let built = CompiledTopology::compile(&request.topology, &request.config).into_shared();
+            let built = inner.compile(&request.topology, &request.config);
             inner.compilations.insert(key, built).0
         }
     }
@@ -1764,6 +1414,28 @@ mod tests {
 
     fn fig7_request() -> AnalysisRequest {
         AnalysisRequest::new("fig7", fig7(3), fig7_topology())
+    }
+
+    /// The registry total of counter `name`, across label series.
+    fn counted(service: &AnalysisService, name: &str) -> u64 {
+        service.registry_snapshot().counter_total(name)
+    }
+
+    /// `(hits, misses, evictions)` of the verification-arena LRUs.
+    fn arena_counts(service: &AnalysisService) -> (u64, u64, u64) {
+        let snapshot = service.registry_snapshot();
+        (
+            snapshot.counter_total(names::ARENA_CACHE_HITS),
+            snapshot.counter_total(names::ARENA_CACHE_MISSES),
+            snapshot.counter_total(names::ARENA_CACHE_EVICTIONS),
+        )
+    }
+
+    /// The `--summary` table text of `service`, configured with `config`.
+    fn summary_text(service: &AnalysisService, config: &ServiceConfig) -> String {
+        crate::Summary::new(&service.registry_snapshot(), config.arena_budget())
+            .table()
+            .to_text()
     }
 
     #[test]
@@ -1873,14 +1545,11 @@ mod tests {
         }
         let responses = service.run_batch(requests);
         assert!(responses.iter().all(AnalysisResponse::is_certified));
-        let arenas = service.arena_cache_stats();
-        assert_eq!(arenas.misses, 2, "one arena build per topology: {arenas:?}");
-        assert_eq!(
-            arenas.hits, 6,
-            "every later chase reuses a warm arena: {arenas:?}"
-        );
-        assert_eq!(arenas.evictions, 0);
-        assert!(arenas.hit_rate() > 0.7);
+        let (hits, misses, evictions) = arena_counts(&service);
+        assert_eq!(misses, 2, "one arena build per topology");
+        assert_eq!(hits, 6, "every later chase reuses a warm arena");
+        assert_eq!(evictions, 0);
+        assert!(hits as f64 / (hits + misses) as f64 > 0.7);
     }
 
     #[test]
@@ -1912,17 +1581,13 @@ mod tests {
             assert!(report.completed, "{} failed its chase", response.name);
         }
         let chased = responses.len() as u64;
-        let arenas = service.arena_cache_stats();
-        assert_eq!(
-            arenas.hits + arenas.misses,
-            chased,
-            "every miss chased once: {arenas:?}"
-        );
+        let (hits, misses, _) = arena_counts(&service);
+        assert_eq!(hits + misses, chased, "every miss chased once");
         // Two workers and two topologies: at most one build per
         // (worker, topology) pair.
-        assert!(arenas.misses <= 4, "{arenas:?}");
+        assert!(misses <= 4, "{misses}");
 
-        let text = service.stats().table().to_text();
+        let text = summary_text(&service, &config);
         assert!(
             text.contains(&format!("verify[{}]", fig7_topology().spec())),
             "{text}"
@@ -1939,7 +1604,7 @@ mod tests {
         let response = quiet.submit(fig7_request()).wait();
         let certified = response.outcome.as_ref().as_ref().unwrap();
         assert!(certified.verified.is_none(), "no chase without verify");
-        assert_eq!(quiet.arena_cache_stats(), ArenaCacheStats::default());
+        assert_eq!(arena_counts(&quiet), (0, 0, 0));
     }
 
     #[test]
@@ -1962,13 +1627,14 @@ mod tests {
             "a byte budget takes precedence over capacity"
         );
         // The budget row renders once a chase has exercised the arenas.
-        let service = AnalysisService::new(ServiceConfig {
+        let config = ServiceConfig {
             verify: true,
             arena_cache_capacity: 0,
             ..Default::default()
-        });
+        };
+        let service = AnalysisService::new(config);
         assert!(service.submit(fig7_request()).wait().is_certified());
-        let text = service.stats().table().to_text();
+        let text = summary_text(&service, &config);
         assert!(text.contains("auto (observed topologies)"), "{text}");
     }
 
@@ -2006,13 +1672,10 @@ mod tests {
         }
         let responses = service.run_batch(requests);
         assert!(responses.iter().all(AnalysisResponse::is_certified));
-        let arenas = service.arena_cache_stats();
-        assert_eq!(arenas.misses, 2, "one build per topology: {arenas:?}");
-        assert_eq!(arenas.hits, 4, "later chases stay warm: {arenas:?}");
-        assert_eq!(
-            arenas.evictions, 0,
-            "auto budget keeps both warm: {arenas:?}"
-        );
+        let (hits, misses, evictions) = arena_counts(&service);
+        assert_eq!(misses, 2, "one build per topology");
+        assert_eq!(hits, 4, "later chases stay warm");
+        assert_eq!(evictions, 0, "auto budget keeps both warm");
     }
 
     #[test]
@@ -2054,24 +1717,28 @@ mod tests {
         p2.config.lookahead = Lookahead::Unbounded;
         assert!(service.submit(p2).wait().is_certified());
 
-        let stats = service.stats();
-        assert_eq!(
-            stats.verify_topologies,
-            vec![
-                TopologyVerifyStats {
-                    spec: "linear:2".into(),
-                    verified: 0,
-                    blocked: 1
-                },
-                TopologyVerifyStats {
-                    spec: fig7_topology().spec(),
-                    verified: 2,
-                    blocked: 0
-                },
-            ]
-        );
-        let text = stats.table().to_text();
-        assert!(text.contains("verify[linear:2]"), "{text}");
+        let snapshot = service.registry_snapshot();
+        let fig7_spec = fig7_topology().spec();
+        for (spec, outcome, count) in [
+            ("linear:2", "ok", 0),
+            ("linear:2", "blocked", 1),
+            (fig7_spec.as_str(), "ok", 2),
+            (fig7_spec.as_str(), "blocked", 0),
+        ] {
+            assert_eq!(
+                snapshot.counter_value(
+                    names::VERIFY_OUTCOMES,
+                    &[("topology", spec), ("outcome", outcome)]
+                ),
+                count,
+                "{spec} {outcome}"
+            );
+        }
+        // The table breaks the chases down per topology, in spec order.
+        let text = summary_text(&service, &config);
+        let linear = text.find("verify[linear:2]").expect(&text);
+        let fig7_row = text.find(&format!("verify[{fig7_spec}]")).expect(&text);
+        assert!(linear < fig7_row, "{text}");
         assert!(text.contains("0 ok / 1 blocked"), "{text}");
         assert!(text.contains("2 ok / 0 blocked"), "{text}");
         assert!(text.contains("arena cache hits"), "{text}");
@@ -2112,10 +1779,10 @@ mod tests {
             .wait();
         let certified = after.outcome.as_ref().as_ref().unwrap();
         assert!(certified.verified.as_ref().expect("chase ran").completed);
-        let arenas = service.arena_cache_stats();
         assert_eq!(
-            arenas.hits, 1,
-            "the fig7 arena stayed warm across the panic: {arenas:?}"
+            arena_counts(&service).0,
+            1,
+            "the fig7 arena stayed warm across the panic"
         );
     }
 
@@ -2204,12 +1871,11 @@ mod tests {
             assert_eq!(r.name, format!("req-{i}"));
             assert!(r.is_certified());
         }
-        let stats = service.stats();
-        assert_eq!(stats.requests, 20);
+        assert_eq!(counted(&service, names::SERVICE_REQUESTS), 20);
         // 20 identical requests: at least one miss, and once cached every
         // later request hits. (More than one miss is possible only if
         // several workers raced the first fill.)
-        let hits = stats.cache.hits;
+        let hits = counted(&service, names::PLAN_CACHE_HITS);
         assert!(hits >= 1, "some requests must hit");
         assert_eq!(service.cache_entries(), 1);
     }
@@ -2226,9 +1892,17 @@ mod tests {
         assert!(responses.iter().all(AnalysisResponse::is_certified));
         assert_eq!(service.cache_entries(), 16);
         let stats = service.compilation_cache_stats();
-        assert_eq!(stats.insertions, 1, "one compilation for the whole batch");
-        assert_eq!(stats.entries, 1);
-        assert!(stats.hits >= 15, "later misses reuse the compilation");
+        // One resident entry and no eviction: exactly one insertion.
+        assert_eq!(stats.entries, 1, "one compilation for the whole batch");
+        assert_eq!(stats.evictions, 0);
+        // Every worker may miss once while racing the first fill; every
+        // later lookup reuses the compilation.
+        assert_eq!(stats.hits + stats.misses, 16);
+        let workers = ServiceConfig::default().workers as u64;
+        assert!(
+            stats.misses <= workers,
+            "later misses reuse the compilation"
+        );
 
         // A different topology (or config) compiles separately.
         let mut other = AnalysisRequest::new("fig9", fig9(), fig9_topology());
@@ -2303,10 +1977,11 @@ mod tests {
     fn stats_table_renders() {
         let service = AnalysisService::new(ServiceConfig::default());
         let _ = service.submit(fig7_request()).wait();
-        let table = service.stats().table();
-        let text = table.to_text();
+        let _ = service.submit(fig7_request()).wait();
+        let text = summary_text(&service, &ServiceConfig::default());
         assert!(text.contains("requests"));
         assert!(text.contains("hit rate"));
+        assert!(text.contains("50.0%"), "one hit in two lookups: {text}");
     }
 
     #[test]
@@ -2380,11 +2055,11 @@ mod tests {
             3
         );
         // The arena series come from the worker's LRU (single writer).
-        let arenas = service.arena_cache_stats();
-        assert_eq!(arenas.misses, 1);
-        assert_eq!(arenas.hits, 2);
-        // Plan-cache counters are mirrored into export gauges on snapshot.
-        assert_eq!(snapshot.gauge_value(names::PLAN_CACHE_MISSES, &[]), 3);
+        assert_eq!(snapshot.counter_value(names::ARENA_CACHE_MISSES, &[]), 1);
+        assert_eq!(snapshot.counter_value(names::ARENA_CACHE_HITS, &[]), 2);
+        // The plan cache counts into the registry itself.
+        assert_eq!(snapshot.counter_value(names::PLAN_CACHE_MISSES, &[]), 3);
+        assert_eq!(snapshot.gauge_value(names::PLAN_CACHE_ENTRIES, &[]), 3);
         assert!(snapshot.gauge_value(names::HW_THREADS, &[]) >= 1);
         // Queue drained: depth gauge returns to zero.
         assert_eq!(snapshot.gauge_value(names::SERVICE_QUEUE_DEPTH, &[]), 0);
@@ -2493,9 +2168,8 @@ mod tests {
         assert_ne!(second.response.fingerprint, first.response.fingerprint);
         // Both edits ran warm (the second from the stored session).
         assert!(second.reuse.reused_routes);
-        let stats = service.incremental_stats();
-        assert_eq!(stats.edits, 2);
-        assert!(stats.reuse_hits >= 1);
+        assert_eq!(counted(&service, names::INCREMENTAL_EDITS), 2);
+        assert!(counted(&service, names::INCREMENTAL_HITS) >= 1);
     }
 
     #[test]
@@ -2541,10 +2215,11 @@ mod tests {
 
     #[test]
     fn session_table_evicts_lru_at_capacity() {
-        let service = AnalysisService::new(ServiceConfig {
+        let config = ServiceConfig {
             session_capacity: 1,
             ..Default::default()
-        });
+        };
+        let service = AnalysisService::new(config);
         let a = service.submit(edit_base_request("a")).wait();
         let b = service.submit(fig7_request()).wait();
         let balanced = [append("c0", true, "A"), append("c1", false, "A")];
@@ -2564,16 +2239,19 @@ mod tests {
                 &[append("c2", true, "A"), append("c3", false, "A")],
             )
             .is_ok());
-        let stats = service.incremental_stats();
-        assert_eq!(stats.sessions, 1);
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.edits, 2);
+        let snapshot = service.registry_snapshot();
+        assert_eq!(snapshot.gauge_value(names::INCREMENTAL_SESSIONS, &[]), 1);
+        assert_eq!(
+            snapshot.counter_value(names::INCREMENTAL_SESSION_EVICTIONS, &[]),
+            1
+        );
+        assert_eq!(snapshot.counter_value(names::INCREMENTAL_EDITS, &[]), 2);
         // An evicted base is still editable — it cold-seeds from the
         // recorded request inputs instead of failing.
         assert!(service.apply_edit("ea2", a.fingerprint, &balanced).is_ok());
 
         // The summary table surfaces the incremental rows once edits ran.
-        let text = service.stats().table().to_text();
+        let text = summary_text(&service, &config);
         assert!(text.contains("incremental edits"), "{text}");
         assert!(text.contains("incremental sessions"), "{text}");
         assert!(text.contains("incremental session evictions"), "{text}");
@@ -2598,16 +2276,16 @@ mod tests {
         assert!(report.completed);
     }
 
-    #[test]
-    fn route_cache_counters_mirror_into_export_gauges() {
-        // 300 cells exceeds MAX_CLOSURE_CELLS (256), so the compiled
-        // topology skips the eager route closure and fills the per-pair
-        // LRU on demand — one miss for the single message routed here.
-        let links: String = (0..299)
-            .map(|i| format!("{i}-{}", i + 1))
-            .collect::<Vec<_>>()
-            .join(",");
-        let topology = Topology::from_spec(&format!("graph:300:{links}")).unwrap();
+    /// One `c0 -> c5` transfer on a `graph:` topology of 300 cells —
+    /// above `MAX_CLOSURE_CELLS` (256), so the compiled topology skips
+    /// the eager route closure and routes through its per-pair LRU. With
+    /// `shortcut`, the graph also links cell 0 to cell 299.
+    fn big_graph_request(shortcut: bool) -> AnalysisRequest {
+        let mut links: Vec<String> = (0..299).map(|i| format!("{i}-{}", i + 1)).collect();
+        if shortcut {
+            links.push("0-299".to_owned());
+        }
+        let topology = Topology::from_spec(&format!("graph:300:{}", links.join(","))).unwrap();
         let program = parse_program(
             "cells 300\n\
              message A: c0 -> c5\n\
@@ -2615,15 +2293,37 @@ mod tests {
              program c5 { R(A) }\n",
         )
         .unwrap();
+        AnalysisRequest::new("big", program, topology)
+    }
+
+    #[test]
+    fn route_cache_counters_count_into_the_registry() {
+        // One miss for the single message routed here.
         let service = AnalysisService::new(ServiceConfig::default());
-        let response = service
-            .submit(AnalysisRequest::new("big", program, topology))
-            .wait();
+        let response = service.submit(big_graph_request(false)).wait();
         assert!(response.is_certified());
-        let routes = service.route_cache_stats();
-        assert!(routes.misses >= 1, "{routes:?}");
-        let snapshot = service.registry_snapshot();
-        assert!(snapshot.gauge_value(names::ROUTE_CACHE_MISSES, &[]) >= 1);
+        assert!(counted(&service, names::ROUTE_CACHE_MISSES) >= 1);
+    }
+
+    #[test]
+    fn route_cache_counts_survive_compilation_eviction() {
+        // A one-entry compilation cache: the second topology evicts the
+        // first compilation, whose route lookups must stay counted.
+        let service = AnalysisService::new(ServiceConfig {
+            compilation_cache: CacheConfig {
+                shards: 1,
+                capacity_per_shard: 1,
+            },
+            ..Default::default()
+        });
+        for shortcut in [false, true] {
+            assert!(service
+                .submit(big_graph_request(shortcut))
+                .wait()
+                .is_certified());
+        }
+        assert_eq!(service.compilation_cache_stats().evictions, 1);
+        assert_eq!(counted(&service, names::ROUTE_CACHE_MISSES), 2);
     }
 
     /// A small mixed working set for the snapshot tests: several certified
@@ -2679,12 +2379,16 @@ mod tests {
         // observable across a whole replayed batch.
         let again = restarted.submit(fig7_request()).wait();
         assert_eq!(again.provenance, CacheProvenance::Warm);
-        let stats = restarted.snapshot_stats();
-        assert_eq!(stats.loads, 1);
-        assert_eq!(stats.loaded_plans, 5);
-        assert_eq!(stats.loaded_seeds, 5);
-        assert_eq!(stats.load_rejected, 0);
-        assert!(stats.warm_hits >= 6);
+        let snapshot = restarted.registry_snapshot();
+        let loads = snapshot.histogram_value(names::SNAPSHOT_LOAD_DURATION, &[]);
+        assert_eq!(loads.count, 1);
+        assert_eq!(snapshot.counter_value(names::SNAPSHOT_LOADED_PLANS, &[]), 5);
+        assert_eq!(snapshot.counter_value(names::SNAPSHOT_LOADED_SEEDS, &[]), 5);
+        assert_eq!(
+            snapshot.counter_value(names::SNAPSHOT_LOAD_REJECTED, &[]),
+            0
+        );
+        assert!(snapshot.counter_value(names::SNAPSHOT_WARM_HITS, &[]) >= 6);
     }
 
     #[test]
@@ -2701,10 +2405,14 @@ mod tests {
         assert_eq!(restarted.cache_entries(), 0);
         let response = restarted.submit(fig7_request()).wait();
         assert_eq!(response.provenance, CacheProvenance::Miss);
-        let stats = restarted.snapshot_stats();
-        assert_eq!(stats.load_rejected, 1);
-        assert_eq!(stats.loads, 0);
-        assert_eq!(stats.loaded_plans, 0);
+        let snapshot = restarted.registry_snapshot();
+        assert_eq!(
+            snapshot.counter_value(names::SNAPSHOT_LOAD_REJECTED, &[]),
+            1
+        );
+        let loads = snapshot.histogram_value(names::SNAPSHOT_LOAD_DURATION, &[]);
+        assert_eq!(loads.count, 0);
+        assert_eq!(snapshot.counter_value(names::SNAPSHOT_LOADED_PLANS, &[]), 0);
     }
 
     #[test]
@@ -2721,7 +2429,7 @@ mod tests {
         // and — the guarantee under test — zero partial application.
         let _ = error;
         assert_eq!(restarted.cache_entries(), 0);
-        assert_eq!(restarted.snapshot_stats().load_rejected, 1);
+        assert_eq!(counted(&restarted, names::SNAPSHOT_LOAD_REJECTED), 1);
         let response = restarted.submit(fig7_request()).wait();
         assert_eq!(response.provenance, CacheProvenance::Miss);
     }
@@ -2741,7 +2449,7 @@ mod tests {
         let report = restarted.import_snapshot(&bytes).expect("load succeeds");
         assert_eq!(report.plans, 4, "the skewed entry is dropped, not fatal");
         assert_eq!(report.dropped, 1);
-        assert_eq!(restarted.snapshot_stats().dropped, 1);
+        assert_eq!(counted(&restarted, names::SNAPSHOT_DROPPED), 1);
         assert_eq!(
             restarted
                 .registry_snapshot()
@@ -2820,8 +2528,12 @@ mod tests {
         let saved = warm_source.save_snapshot(&path).expect("saves");
         assert_eq!(saved.plans, 5);
         assert!(saved.bytes > 0);
-        assert_eq!(warm_source.snapshot_stats().saves, 1);
-        assert_eq!(warm_source.snapshot_stats().last_save_bytes, saved.bytes);
+        let snapshot = warm_source.registry_snapshot();
+        assert_eq!(snapshot.counter_value(names::SNAPSHOT_SAVES, &[]), 1);
+        assert_eq!(
+            snapshot.gauge_value(names::SNAPSHOT_SAVE_BYTES, &[]),
+            i64::try_from(saved.bytes).unwrap()
+        );
 
         let restarted = AnalysisService::new(ServiceConfig::default());
         let loaded = restarted.load_snapshot(&path).expect("loads");
@@ -2834,6 +2546,6 @@ mod tests {
         let cold = AnalysisService::new(ServiceConfig::default());
         let error = cold.load_snapshot(&path).expect_err("missing file");
         assert!(matches!(error, SnapshotError::Io(_)), "{error:?}");
-        assert_eq!(cold.snapshot_stats().load_rejected, 1);
+        assert_eq!(counted(&cold, names::SNAPSHOT_LOAD_REJECTED), 1);
     }
 }

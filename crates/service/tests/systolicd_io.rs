@@ -4,7 +4,8 @@
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
 
-use systolic_service::wire::{WireResponse, MAX_LINE_BYTES};
+use systolic_core::request_fingerprint;
+use systolic_service::wire::{parse_line, WireRequest, WireResponse, MAX_LINE_BYTES};
 use systolic_service::Json;
 use systolic_workloads::{traffic, TrafficConfig};
 
@@ -140,4 +141,155 @@ fn gen_output_is_byte_identical_to_the_recorded_stream() {
     assert!(output.status.success());
     assert_eq!(output.stdout.len(), 1_115_452);
     assert_eq!(fnv1a(&output.stdout), 0xc4fb_3e7c_9d29_5194);
+}
+
+/// The edit base used by the summary tests: two independent streams on a
+/// 4-cell line, so a balanced append stays on the incremental path.
+const EDIT_BASE: &str = "{\"id\":\"base\",\"program\":\"cells 4\\nmessage A: c0 -> c1\\n\
+message B: c2 -> c3\\nprogram c0 { W(A) }\\nprogram c1 { R(A) }\\nprogram c2 { W(B) }\\n\
+program c3 { R(B) }\\n\",\"topology\":\"linear:4\"}";
+
+/// A fixed `gen` stream, the edit base, and one `edit` line chained on
+/// the base's fingerprint.
+fn summary_input() -> Vec<u8> {
+    let Ok(WireRequest::Analysis(base)) = parse_line(EDIT_BASE, 1) else {
+        panic!("the edit base is an analysis request");
+    };
+    let fingerprint = request_fingerprint(&base.program, &base.topology, &base.config);
+    let edit = format!(
+        "{{\"id\":\"e1\",\"op\":\"edit\",\"base\":\"{fingerprint:#034x}\",\"ops\":[\
+         {{\"edit\":\"append\",\"cell\":\"c0\",\"op\":\"W(A)\"}},\
+         {{\"edit\":\"append\",\"cell\":\"c1\",\"op\":\"R(A)\"}}]}}"
+    );
+    let mut lines = valid_lines(40);
+    lines.extend([EDIT_BASE.as_bytes().to_vec(), edit.into_bytes()]);
+    join_lines(&lines)
+}
+
+/// The row labels of the `--summary` table on `stderr`, in order.
+fn table_labels(stderr: &str) -> Vec<&str> {
+    let mut lines = stderr
+        .lines()
+        .skip_while(|line| !line.starts_with("metric"));
+    assert!(lines.next().is_some(), "no summary table in {stderr}");
+    let width = lines.next().and_then(|rule| rule.find(' ')).expect("rule");
+    lines
+        .take_while(|line| !line.is_empty() && !line.starts_with('{'))
+        .map(|line| line[..width].trim_end())
+        .collect()
+}
+
+/// The `--summary-json` object on `stderr`.
+fn summary_json(stderr: &str) -> Json {
+    let line = stderr.lines().find(|line| line.starts_with('{'));
+    Json::parse(line.expect("a summary object")).expect("the summary is JSON")
+}
+
+/// The summary labels, with `verify` (`|`-separated) as the per-topology
+/// rows. The CI steps grep these rows with their exact padding, which the
+/// longest label sets.
+fn expected_labels(verify: &str) -> Vec<String> {
+    let labels = format!(
+        "requests|cache hits|cache misses|cache evictions|cache entries|hit rate|\
+         latency mean (us)|latency p50 (us)|latency p99 (us)|latency max (us)|\
+         arena cache hits|arena cache misses|arena cache evictions|arena hit rate|\
+         arena cache budget|{verify}|incremental edits|incremental reuse hits|\
+         incremental fallbacks|incremental dirty cells|incremental sessions|\
+         incremental session evictions|snapshot loads|snapshot plans restored|\
+         snapshot seeds restored|snapshot entries dropped|snapshot loads rejected|\
+         snapshot saves|snapshot last save bytes|snapshot warm hits|wall time (s)|\
+         throughput (req/s)|invalid lines"
+    );
+    labels.split('|').map(str::to_owned).collect()
+}
+
+#[test]
+fn summary_table_and_json_surface_is_pinned() {
+    let input = summary_input();
+    let snap = std::env::temp_dir().join(format!("systolicd-summary-{}.snap", std::process::id()));
+    let snap = snap.to_str().unwrap();
+    let flags = [
+        "serve",
+        "--workers",
+        "1",
+        "--verify",
+        "--summary",
+        "--summary-json",
+    ];
+    let cold = systolicd(
+        &[&flags[..], &["--snapshot-save", snap]].concat(),
+        input.clone(),
+    );
+    let warm = systolicd(&[&flags[..], &["--snapshot-load", snap]].concat(), input);
+    let _ = std::fs::remove_file(snap);
+    assert!(cold.status.success() && warm.status.success());
+    let (cold, warm) = (
+        String::from_utf8(cold.stderr).unwrap(),
+        String::from_utf8(warm.stderr).unwrap(),
+    );
+
+    let verify = "verify[linear:3]|verify[linear:4]|verify[linear:5]|verify[linear:6]|\
+                  verify[mesh:2x2]|verify[mesh:2x3]|verify[mesh:3x3]|verify[ring:4]|verify[ring:6]";
+    assert_eq!(table_labels(&cold), expected_labels(verify), "{cold}");
+    // The warm restart answers the stream from the snapshot: only the
+    // edit is analyzed, so only its topology is chased.
+    assert_eq!(
+        table_labels(&warm),
+        expected_labels("verify[linear:4]"),
+        "{warm}"
+    );
+
+    let keys = "requests,invalid_lines,wall_seconds,throughput_per_sec,cache_hits,cache_misses,\
+                cache_hit_rate,latency_mean_us,latency_p50_us,latency_p99_us,latency_max_us,\
+                arena_hits,arena_misses,arena_evictions,hw_threads,snapshot_loads,\
+                snapshot_plans_restored,snapshot_seeds_restored,snapshot_dropped,\
+                snapshot_loads_rejected,snapshot_saves,snapshot_warm_hits";
+    for stderr in [&cold, &warm] {
+        let Json::Obj(members) = summary_json(stderr) else {
+            panic!("the summary is not an object: {stderr}");
+        };
+        let found: Vec<&str> = members.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(found.join(","), keys);
+    }
+}
+
+#[test]
+fn summary_json_counts_equal_the_metrics_exposition() {
+    let metrics =
+        std::env::temp_dir().join(format!("systolicd-metrics-{}.txt", std::process::id()));
+    let metrics = metrics.to_str().unwrap();
+    let output = systolicd(
+        &[
+            "serve",
+            "--verify",
+            "--summary-json",
+            "--metrics-file",
+            metrics,
+        ],
+        summary_input(),
+    );
+    assert!(output.status.success(), "{output:?}");
+    let exposition = std::fs::read_to_string(metrics).expect("metrics written");
+    let _ = std::fs::remove_file(metrics);
+    let series = |name: &str| -> u64 {
+        exposition
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {name} in {exposition}"))
+            .parse()
+            .unwrap()
+    };
+    let summary = summary_json(&String::from_utf8(output.stderr).unwrap());
+    for (key, name) in [
+        ("requests", "systolic_service_requests_total"),
+        ("cache_hits", "systolic_plan_cache_hits_total"),
+        ("cache_misses", "systolic_plan_cache_misses_total"),
+        ("arena_hits", "systolic_arena_cache_hits_total"),
+    ] {
+        assert_eq!(
+            summary.get(key).and_then(Json::as_u64),
+            Some(series(name)),
+            "{key} vs {name}"
+        );
+    }
 }

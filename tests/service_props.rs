@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use systolic::core::{Analyzer, CoreError};
+use systolic::obs::names;
 use systolic::service::{
     AnalysisRequest, AnalysisService, CacheProvenance, Certified, ServiceConfig, ServiceOutcome,
 };
@@ -129,9 +130,15 @@ proptest! {
             // Every thread observed the *same* shared outcome object.
             prop_assert!(Arc::ptr_eq(&first.outcome, &other.outcome));
         }
-        let stats = service.cache_stats();
-        prop_assert_eq!(stats.insertions, 1);
-        prop_assert_eq!(stats.hits + stats.misses, threads as u64);
+        // One resident entry and no eviction: exactly one insertion won.
+        let metrics = service.registry_snapshot();
+        prop_assert_eq!(metrics.gauge_value(names::PLAN_CACHE_ENTRIES, &[]), 1);
+        prop_assert_eq!(metrics.counter_value(names::PLAN_CACHE_EVICTIONS, &[]), 0);
+        prop_assert_eq!(
+            metrics.counter_value(names::PLAN_CACHE_HITS, &[])
+                + metrics.counter_value(names::PLAN_CACHE_MISSES, &[]),
+            threads as u64
+        );
     }
 
     #[test]

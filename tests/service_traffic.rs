@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 
 use systolic::core::{request_fingerprint, Analyzer};
+use systolic::obs::names;
 use systolic::service::{
     AnalysisRequest, AnalysisResponse, AnalysisService, CacheConfig, CacheProvenance, ServiceConfig,
 };
@@ -73,20 +74,23 @@ fn five_hundred_mixed_requests_match_direct_analysis() {
 
     // Cache accounting: entries equal distinct fingerprints, counters add
     // up, and the hot part of the traffic produced real hits.
-    let stats = service.stats();
-    assert_eq!(stats.requests, REQUESTS as u64);
-    assert_eq!(service.cache_entries(), direct_cache.len());
-    assert_eq!(stats.cache.hits + stats.cache.misses, REQUESTS as u64);
-    assert!(
-        stats.cache.hits >= (REQUESTS / 4) as u64,
-        "mixed traffic should hit the cache often, got {} hits",
-        stats.cache.hits
-    );
-    let per_shard = service.per_shard_cache_stats();
-    assert_eq!(per_shard.len(), 8);
+    let metrics = service.registry_snapshot();
+    let hits = metrics.counter_value(names::PLAN_CACHE_HITS, &[]);
+    let misses = metrics.counter_value(names::PLAN_CACHE_MISSES, &[]);
     assert_eq!(
-        per_shard.iter().map(|s| s.entries).sum::<usize>(),
-        service.cache_entries()
+        metrics.counter_value(names::SERVICE_REQUESTS, &[]),
+        REQUESTS as u64
+    );
+    assert_eq!(service.cache_entries(), direct_cache.len());
+    assert_eq!(hits + misses, REQUESTS as u64);
+    assert!(
+        hits >= (REQUESTS / 4) as u64,
+        "mixed traffic should hit the cache often, got {hits} hits"
+    );
+    // The entry gauge agrees with the shards' resident entries.
+    assert_eq!(
+        metrics.gauge_value(names::PLAN_CACHE_ENTRIES, &[]),
+        service.cache_entries() as i64
     );
 }
 
