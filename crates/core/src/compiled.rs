@@ -42,13 +42,18 @@ pub const ROUTE_CACHE_CAPACITY: usize = 4096;
 
 /// Hit/miss/occupancy counters of the per-pair route LRU — all zero for
 /// topologies served by the closure or by closed-form routing.
+///
+/// The scopes differ once [`CompiledTopology::with_obs`] has bound the
+/// compilation: `hits` and `misses` are then the registry totals of every
+/// compilation bound to that bundle, while `entries` stays this
+/// compilation's own.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RouteCacheStats {
-    /// Routes served from the cache.
+    /// Routes served from the cache (registry-wide once bound).
     pub hits: u64,
-    /// Routes computed by a BFS (and then cached).
+    /// Routes computed by a BFS and then cached (registry-wide once bound).
     pub misses: u64,
-    /// Pairs currently resident.
+    /// Pairs currently resident in this compilation's LRU.
     pub entries: usize,
 }
 
@@ -153,7 +158,13 @@ impl CompiledTopology {
     /// Counts route LRU lookups into the shared
     /// `systolic_route_cache_{hits,misses}_total` counters of `obs`
     /// instead of private ones. Call it before sharing the compilation:
-    /// counts taken earlier stay with the private counters.
+    /// counts taken earlier stay with the private counters. Whoever
+    /// compiles decides the binding — [`Analyzer::for_topology`] leaves it
+    /// unbound — except that an incremental session recompiling after a
+    /// link edit binds its new compilation to the session analyzer's
+    /// bundle.
+    ///
+    /// [`Analyzer::for_topology`]: crate::Analyzer::for_topology
     #[must_use]
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.route_cache_hits = obs.registry().counter(names::ROUTE_CACHE_HITS);

@@ -79,7 +79,7 @@ use std::time::Instant;
 
 use systolic_service::daemon::{DaemonCommand, GenOptions, OptionsError, ServeOptions, USAGE};
 use systolic_service::wire::{parse_line, read_line, WireRequest, WireResponse};
-use systolic_service::{AnalysisService, Json, Summary, Ticket};
+use systolic_service::{AnalysisService, Json, Ticket};
 use systolic_workloads::traffic;
 
 /// Writes one output line, turning stdout failures into process exits
@@ -331,7 +331,7 @@ fn serve_main(options: &ServeOptions) {
         0.0
     };
 
-    let summary = Summary::new(&service.registry_snapshot(), config.arena_budget());
+    let summary = service.summary();
     if options.summary {
         let mut table = summary.table();
         table.row(["wall time (s)", &format!("{secs:.3}")]);

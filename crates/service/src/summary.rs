@@ -41,8 +41,7 @@ pub struct Summary {
 
 impl Summary {
     /// Reads every summary figure from `snapshot`.
-    #[must_use]
-    pub fn new(snapshot: &RegistrySnapshot, budget: ArenaBudget) -> Self {
+    pub(crate) fn new(snapshot: &RegistrySnapshot, budget: ArenaBudget) -> Self {
         let total = |name| snapshot.counter_total(name);
         let gauge = |name| u64::try_from(snapshot.gauge_value(name, &[])).unwrap_or(0);
         let rate = |hits: u64, misses: u64| match hits + misses {

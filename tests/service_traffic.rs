@@ -129,9 +129,11 @@ fn tiny_cache_evicts_under_mixed_traffic() {
     });
     let responses: Vec<AnalysisResponse> = service.run_batch(mixed_requests());
     assert_eq!(responses.len(), REQUESTS);
-    let stats = service.cache_stats();
+    let evictions = service
+        .registry_snapshot()
+        .counter_value(names::PLAN_CACHE_EVICTIONS, &[]);
     assert!(
-        stats.evictions > 0,
+        evictions > 0,
         "8 total slots must evict under mixed traffic"
     );
     assert!(service.cache_entries() <= 8);
