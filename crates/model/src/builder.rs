@@ -1,5 +1,6 @@
 //! Fluent construction of [`Program`]s (C-BUILDER).
 
+use crate::names::NameIndex;
 use crate::{CellId, CellProgram, MessageDecl, MessageId, ModelError, Op, Program};
 
 /// A value that can name a cell while building: a [`CellId`], a raw index,
@@ -36,10 +37,9 @@ impl CellRef for u32 {
 impl CellRef for &str {
     fn resolve(&self, builder: &ProgramBuilder) -> Result<CellId, ModelError> {
         builder
-            .cells
-            .iter()
-            .position(|(n, _)| n == self)
-            .map(|i| CellId::new(i as u32))
+            .cell_index
+            .find(builder.cell_names(), self)
+            .map(CellId::new)
             .ok_or_else(|| ModelError::UnknownCell {
                 name: (*self).to_owned(),
             })
@@ -80,6 +80,11 @@ impl CellRef for &str {
 pub struct ProgramBuilder {
     cells: Vec<(String, Vec<Op>)>,
     messages: Vec<MessageDecl>,
+    /// Resolves cell names (the first of duplicate names wins; the
+    /// duplicate is reported by [`Program::new`] at build time).
+    cell_index: NameIndex,
+    /// Resolves message names.
+    message_index: NameIndex,
 }
 
 impl ProgramBuilder {
@@ -87,12 +92,16 @@ impl ProgramBuilder {
     /// `c0`…`c{n-1}`.
     #[must_use]
     pub fn new(num_cells: usize) -> Self {
-        ProgramBuilder {
+        let mut builder = ProgramBuilder {
             cells: (0..num_cells)
                 .map(|i| (format!("c{i}"), Vec::new()))
                 .collect(),
             messages: Vec::new(),
-        }
+            cell_index: NameIndex::default(),
+            message_index: NameIndex::default(),
+        };
+        builder.cell_index = NameIndex::over(builder.cell_names());
+        builder
     }
 
     /// Renames all cells at once (e.g. `["host", "c1", "c2", "c3"]`).
@@ -110,6 +119,7 @@ impl ProgramBuilder {
         for (slot, name) in self.cells.iter_mut().zip(names) {
             slot.0 = name;
         }
+        self.cell_index = NameIndex::over(self.cell_names());
         self
     }
 
@@ -117,6 +127,10 @@ impl ProgramBuilder {
     #[must_use]
     pub fn num_cells(&self) -> usize {
         self.cells.len()
+    }
+
+    fn cell_names(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.cells.iter().map(|(name, _)| name.as_str())
     }
 
     /// Declares a message and returns its id.
@@ -132,23 +146,25 @@ impl ProgramBuilder {
         receiver: impl CellRef,
     ) -> Result<MessageId, ModelError> {
         let name = name.into();
-        if self.messages.iter().any(|m| m.name() == name) {
+        if self.message_id(&name).is_some() {
             return Err(ModelError::DuplicateMessage { name });
         }
         let s = sender.resolve(self)?;
         let r = receiver.resolve(self)?;
-        let decl = MessageDecl::new(name, s, r)?;
-        self.messages.push(decl);
-        Ok(MessageId::new((self.messages.len() - 1) as u32))
+        let id = self.messages.len() as u32;
+        self.messages.push(MessageDecl::new(name, s, r)?);
+        let names = self.messages.iter().map(MessageDecl::name);
+        self.message_index
+            .push(self.messages[id as usize].name(), id, names);
+        Ok(MessageId::new(id))
     }
 
     /// Looks up a previously declared message by name.
     #[must_use]
     pub fn message_id(&self, name: &str) -> Option<MessageId> {
-        self.messages
-            .iter()
-            .position(|m| m.name() == name)
-            .map(|i| MessageId::new(i as u32))
+        self.message_index
+            .find(self.messages.iter().map(MessageDecl::name), name)
+            .map(MessageId::new)
     }
 
     fn resolve_message(&self, name: &str) -> Result<MessageId, ModelError> {

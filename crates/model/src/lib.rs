@@ -56,6 +56,7 @@ mod error;
 mod hash;
 mod ids;
 mod message;
+mod names;
 mod op;
 mod parse;
 mod program;

@@ -15,7 +15,7 @@
 //! `OP(MSG)*N` repeats an operation `N` times — the paper's `W(X)…`
 //! sequence notation from Fig. 7.
 
-use crate::{ModelError, Program, ProgramBuilder};
+use crate::{CellRef, ModelError, Program, ProgramBuilder};
 
 /// Parses a program from the text format above.
 ///
@@ -183,19 +183,26 @@ impl<'a> Parser<'a> {
             }
         }
 
+        // The cell resolves once, at the block's first op.
+        let mut cell = None;
         for token in body.split_whitespace() {
-            Self::parse_op_token(builder, &cell_name, first_line, token)?;
+            let (write, message, count) = Self::parse_op_token(first_line, token)?;
+            let cell = match cell {
+                Some(cell) => cell,
+                None => *cell.insert(cell_name.as_str().resolve(builder)?),
+            };
+            if write {
+                builder.write_n(cell, message, count)?;
+            } else {
+                builder.read_n(cell, message, count)?;
+            }
         }
         Ok(())
     }
 
-    /// Parses a single `W(MSG)`, `R(MSG)` or `OP(MSG)*N` token.
-    fn parse_op_token(
-        builder: &mut ProgramBuilder,
-        cell: &str,
-        line: usize,
-        token: &str,
-    ) -> Result<(), ModelError> {
+    /// Parses a single `W(MSG)`, `R(MSG)` or `OP(MSG)*N` token into
+    /// (is a write, message name, repeat count).
+    fn parse_op_token(line: usize, token: &str) -> Result<(bool, &str, usize), ModelError> {
         let (op_part, count) = match token.split_once('*') {
             Some((op, n)) => {
                 let n: usize = n
@@ -209,10 +216,9 @@ impl<'a> Parser<'a> {
             .strip_suffix(')')
             .and_then(|s| s.split_once('('))
             .ok_or_else(|| Self::err(line, format!("bad op token `{token}`")))?;
-        let msg = msg.trim();
-        match kind.trim() {
-            "W" => builder.write_n(cell, msg, count)?,
-            "R" => builder.read_n(cell, msg, count)?,
+        let write = match kind.trim() {
+            "W" => true,
+            "R" => false,
             other => {
                 return Err(Self::err(
                     line,
@@ -220,7 +226,7 @@ impl<'a> Parser<'a> {
                 ));
             }
         };
-        Ok(())
+        Ok((write, msg.trim(), count))
     }
 }
 

@@ -3,6 +3,7 @@
 
 use core::fmt;
 
+use crate::names::first_repeat;
 use crate::{CellId, MessageDecl, MessageId, ModelError, Op, OpKind};
 
 /// The statement sequence of a single cell, restricted to `R`/`W` operations.
@@ -131,13 +132,14 @@ impl Program {
         );
         let num_cells = cells.len();
 
-        for (i, name) in cell_names.iter().enumerate() {
-            if cell_names[..i].iter().any(|n| n == name) {
-                return Err(ModelError::DuplicateCell { name: name.clone() });
-            }
+        if let Some(i) = first_repeat(cell_names.iter().map(String::as_str)) {
+            return Err(ModelError::DuplicateCell {
+                name: cell_names[i].clone(),
+            });
         }
+        let repeated_message = first_repeat(messages.iter().map(MessageDecl::name));
         for (i, decl) in messages.iter().enumerate() {
-            if messages[..i].iter().any(|d| d.name() == decl.name()) {
+            if repeated_message == Some(i) {
                 return Err(ModelError::DuplicateMessage {
                     name: decl.name().to_owned(),
                 });

@@ -89,6 +89,11 @@ pub mod names {
     pub const SERVICE_REQUESTS: &str = "systolic_service_requests_total";
     /// Histogram: end-to-end `handle()` latency in microseconds.
     pub const SERVICE_HANDLE_DURATION: &str = "systolic_service_handle_duration_micros";
+    /// Histogram: decoding one wire line's fields into a request (program
+    /// parse and topology spec included), in microseconds.
+    pub const WIRE_DECODE_DURATION: &str = "systolic_wire_decode_duration_micros";
+    /// Histogram: rendering one analysis response line, in microseconds.
+    pub const WIRE_ENCODE_DURATION: &str = "systolic_wire_encode_duration_micros";
     /// Gauge: submitted-but-unclaimed requests in the worker queue.
     pub const SERVICE_QUEUE_DEPTH: &str = "systolic_service_queue_depth";
     /// Counter: plan-cache lookups that found an entry.

@@ -147,14 +147,17 @@ impl Default for Tracer {
 
 impl Tracer {
     /// Creates a tracer whose ring keeps at most `capacity` finished spans.
+    /// With `capacity` 0 it keeps none: ids and span timings still work,
+    /// and every finished span is counted as dropped without taking the
+    /// ring lock.
     pub fn new(capacity: usize) -> Self {
         Self {
             epoch: Instant::now(),
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
-            capacity: capacity.max(1),
+            capacity,
             dropped: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 4096))),
+            ring: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
         }
     }
 
@@ -193,6 +196,10 @@ impl Tracer {
 
     /// Pushes a prebuilt event into the ring (oldest dropped when full).
     pub fn record(&self, event: SpanEvent) {
+        if self.capacity == 0 {
+            self.dropped.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(drop statistic)
+            return;
+        }
         // lint: panic-ok(ring mutex poisoning means a panic mid-push; unrecoverable)
         let mut ring = self.ring.lock().expect("trace ring poisoned");
         if ring.len() >= self.capacity {
@@ -268,6 +275,18 @@ mod tests {
         assert_eq!(ids, vec![7, 8, 9, 10]);
         assert_eq!(tracer.drain().len(), 4);
         assert!(tracer.snapshot().is_empty());
+    }
+
+    #[test]
+    fn zero_capacity_keeps_no_spans() {
+        let tracer = Tracer::new(0);
+        let trace = tracer.new_trace();
+        for _ in 0..3 {
+            let span = tracer.start(trace, None, "s");
+            tracer.finish(span);
+        }
+        assert!(tracer.snapshot().is_empty());
+        assert_eq!(tracer.dropped(), 3);
     }
 
     #[test]

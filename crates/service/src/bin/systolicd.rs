@@ -55,6 +55,19 @@
 //! `{"op": "metrics"}` dumps the registry as one JSON response mid-stream
 //! after flushing every prior request.
 //!
+//! Threads: the main thread reads each line, parses its JSON and
+//! dispatches on `op` ([`parse_envelope`]), applies the control-op
+//! barriers (`metrics`, `edit` and `snapshot` wait for every earlier line
+//! first) and writes every reply in input order. An analysis line goes to
+//! the worker pool as it is
+//! ([`AnalysisService::submit_line`](systolic_service::AnalysisService::submit_line)):
+//! a worker decodes its fields
+//! ([`decode_request`](systolic_service::wire::decode_request)), analyses
+//! and, under `--verify`, verifies it, and renders the response line; a
+//! line that does not decode comes back as its error and is answered
+//! `status: "invalid"` at its own line. The span ring is kept only for
+//! `--trace-file`.
+//!
 //! Input lines are bounded: a line over
 //! [`MAX_LINE_BYTES`](systolic_service::wire::MAX_LINE_BYTES) (1 MiB) is
 //! skipped without being buffered, and it and any line that is not UTF-8
@@ -73,13 +86,18 @@
 //!     > responses2.jsonl   # instant warm cache, responses say "warm"
 //! ```
 
-use std::io::{BufReader, Read, Write};
+use std::collections::VecDeque;
+use std::io::{BufReader, BufWriter, Read, StdoutLock, Write};
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
+use systolic_obs::{Obs, DEFAULT_TRACE_CAPACITY};
 use systolic_service::daemon::{DaemonCommand, GenOptions, OptionsError, ServeOptions, USAGE};
-use systolic_service::wire::{parse_line, read_line, WireRequest, WireResponse};
-use systolic_service::{AnalysisService, Json, Ticket};
+use systolic_service::wire::{
+    parse_envelope, read_line, AnalysisLine, WireEnvelope, WireError, WireResponse,
+};
+use systolic_service::{AnalysisService, Json, LineReply, Ticket};
 use systolic_workloads::traffic;
 
 /// Writes one output line, turning stdout failures into process exits
@@ -138,6 +156,102 @@ fn gen_main(options: &GenOptions) {
     flush_out(&mut out);
 }
 
+/// The in-order reply side of `serve`: the window of in-flight line
+/// tickets, the output, and the served / invalid tallies.
+struct Replies<'a> {
+    options: &'a ServeOptions,
+    service: &'a AnalysisService,
+    out: BufWriter<StdoutLock<'static>>,
+    /// Line number and ticket of each submitted analysis line, in input
+    /// order.
+    inflight: VecDeque<(usize, Ticket<LineReply>)>,
+    /// At most this many tickets are outstanding: the submission queue
+    /// provides the backpressure, this window just bounds reply
+    /// buffering.
+    inflight_limit: usize,
+    served: u64,
+    invalid: u64,
+    since_autosave: usize,
+}
+
+impl<'a> Replies<'a> {
+    fn new(options: &'a ServeOptions, service: &'a AnalysisService) -> Self {
+        let config = options.service;
+        Replies {
+            options,
+            service,
+            out: BufWriter::new(std::io::stdout().lock()),
+            inflight: VecDeque::new(),
+            inflight_limit: config.workers * 2 + config.queue_depth,
+            served: 0,
+            invalid: 0,
+            since_autosave: 0,
+        }
+    }
+
+    /// Hands an analysis line to the worker pool, first writing the
+    /// oldest reply if the window is full.
+    fn submit(&mut self, line: AnalysisLine) {
+        if self.inflight.len() >= self.inflight_limit {
+            self.drain_one();
+        }
+        let line_number = line.line_number;
+        self.inflight
+            .push_back((line_number, self.service.submit_line(line)));
+    }
+
+    /// Waits for and writes every in-flight reply.
+    fn drain(&mut self) {
+        while !self.inflight.is_empty() {
+            self.drain_one();
+        }
+    }
+
+    fn drain_one(&mut self) {
+        let Some((line_number, ticket)) = self.inflight.pop_front() else {
+            return;
+        };
+        match ticket.wait() {
+            Ok(line) => {
+                self.write(&line);
+                self.served(true);
+            }
+            Err(error) => self.invalid(line_number, &error),
+        }
+    }
+
+    fn write(&mut self, line: &dyn std::fmt::Display) {
+        write_line(&mut self.out, line);
+    }
+
+    /// Answers a malformed line.
+    fn invalid(&mut self, line_number: usize, error: &WireError) {
+        self.write(&WireResponse::Invalid { line_number, error }.to_json());
+        self.invalid += 1;
+    }
+
+    /// Counts one served request; `autosave` requests count towards
+    /// `--snapshot-every`.
+    fn served(&mut self, autosave: bool) {
+        self.served += 1;
+        if !autosave || self.options.snapshot_every == 0 {
+            return;
+        }
+        self.since_autosave += 1;
+        if self.since_autosave < self.options.snapshot_every {
+            return;
+        }
+        self.since_autosave = 0;
+        if let Some(path) = &self.options.snapshot_save {
+            // Autosave is best-effort persistence; a failed write is
+            // reported but never interrupts serving.
+            if let Err(error) = self.service.save_snapshot(Path::new(path)) {
+                eprintln!("systolicd: snapshot autosave to {path} failed: {error}");
+            }
+        }
+    }
+}
+
 fn serve_main(options: &ServeOptions) {
     let config = options.service;
 
@@ -149,7 +263,15 @@ fn serve_main(options: &ServeOptions) {
         None => Box::new(std::io::stdin()),
     };
 
-    let service = AnalysisService::new(config);
+    // Spans are kept only for the `--trace-file` log: without one, the
+    // ring would hold up to `DEFAULT_TRACE_CAPACITY` spans nobody reads.
+    let trace_capacity = if options.trace_file.is_some() {
+        DEFAULT_TRACE_CAPACITY
+    } else {
+        0
+    };
+    let service =
+        AnalysisService::with_obs(config, Arc::new(Obs::with_trace_capacity(trace_capacity)));
 
     if let Some(path) = &options.snapshot_load {
         // A rejected load never partially applies: the daemon keeps
@@ -166,42 +288,8 @@ fn serve_main(options: &ServeOptions) {
         }
     }
 
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
     let started = Instant::now();
-    let mut served = 0u64;
-    let mut invalid = 0u64;
-    let mut since_autosave = 0usize;
-
-    // Stream responses in request order while keeping at most
-    // `inflight_limit` tickets outstanding: the submission queue provides
-    // the backpressure, this window just bounds reply buffering.
-    let inflight_limit = config.workers * 2 + config.queue_depth;
-    let mut inflight: std::collections::VecDeque<Ticket> = std::collections::VecDeque::new();
-    let drain_one = |inflight: &mut std::collections::VecDeque<Ticket>, out: &mut dyn Write| {
-        if let Some(ticket) = inflight.pop_front() {
-            let response = ticket.wait();
-            write_line(out, &WireResponse::Analysis(&response).to_json());
-        }
-    };
-    let autosave = |service: &AnalysisService, since_autosave: &mut usize| {
-        if options.snapshot_every == 0 {
-            return;
-        }
-        *since_autosave += 1;
-        if *since_autosave < options.snapshot_every {
-            return;
-        }
-        *since_autosave = 0;
-        if let Some(path) = &options.snapshot_save {
-            // Autosave is best-effort persistence; a failed write is
-            // reported but never interrupts serving.
-            if let Err(error) = service.save_snapshot(Path::new(path)) {
-                eprintln!("systolicd: snapshot autosave to {path} failed: {error}");
-            }
-        }
-    };
-
+    let mut replies = Replies::new(options, &service);
     let mut input = BufReader::new(reader);
     let mut buf = Vec::new();
     let mut line_number = 0;
@@ -217,38 +305,29 @@ fn serve_main(options: &ServeOptions) {
         line_number += 1;
         let parsed = match line {
             Ok(text) if text.trim().is_empty() => continue,
-            Ok(text) => parse_line(text, line_number),
+            Ok(text) => parse_envelope(text, line_number),
             // Oversized and non-UTF-8 lines are answered like any other
             // malformed line; reading goes on with the next one.
             Err(error) => Err(error),
         };
         match parsed {
-            Ok(WireRequest::Analysis(request)) => {
-                if inflight.len() >= inflight_limit {
-                    drain_one(&mut inflight, &mut out);
-                }
-                inflight.push_back(service.submit(*request));
-                served += 1;
-                autosave(&service, &mut since_autosave);
-            }
-            Ok(WireRequest::Metrics) => {
+            // A worker decodes, analyses and renders the line; its reply
+            // is written in input order.
+            Ok(WireEnvelope::Analysis(line)) => replies.submit(line),
+            Ok(WireEnvelope::Metrics) => {
                 // Flush in-flight responses first so the dump reflects
                 // every request submitted before it (and output stays in
                 // input order).
-                while !inflight.is_empty() {
-                    drain_one(&mut inflight, &mut out);
-                }
+                replies.drain();
                 let snapshot = service.registry_snapshot();
-                write_line(&mut out, &WireResponse::Metrics(&snapshot).to_json());
+                replies.write(&WireResponse::Metrics(&snapshot).to_json());
             }
-            Ok(WireRequest::Edit(command)) => {
+            Ok(WireEnvelope::Edit(command)) => {
                 // Edits chain on earlier responses' fingerprints, so every
                 // prior submission must land (seeding its session inputs)
                 // before the edit runs; flushing also keeps output in
                 // input order.
-                while !inflight.is_empty() {
-                    drain_one(&mut inflight, &mut out);
-                }
+                replies.drain();
                 let line =
                     match service.apply_edit(command.name.clone(), command.base, &command.ops) {
                         Ok(edit) => WireResponse::Edit(&edit).to_json(),
@@ -259,16 +338,13 @@ fn serve_main(options: &ServeOptions) {
                         }
                         .to_json(),
                     };
-                write_line(&mut out, &line);
-                served += 1;
-                autosave(&service, &mut since_autosave);
+                replies.write(&line);
+                replies.served(true);
             }
-            Ok(WireRequest::Snapshot(id)) => {
+            Ok(WireEnvelope::Snapshot(id)) => {
                 // Flush so the snapshot covers every request submitted
                 // before it; output also stays in input order.
-                while !inflight.is_empty() {
-                    drain_one(&mut inflight, &mut out);
-                }
+                replies.drain();
                 let line = match &options.snapshot_save {
                     Some(path) => match service.save_snapshot(Path::new(path)) {
                         Ok(report) => WireResponse::Snapshot { name: &id, report }.to_json(),
@@ -284,31 +360,22 @@ fn serve_main(options: &ServeOptions) {
                     }
                     .to_json(),
                 };
-                write_line(&mut out, &line);
-                served += 1;
+                replies.write(&line);
+                replies.served(false);
             }
             Err(error) => {
                 // Flush pending responses first so output stays in input
                 // order, then answer the malformed line inline.
-                while !inflight.is_empty() {
-                    drain_one(&mut inflight, &mut out);
-                }
-                write_line(
-                    &mut out,
-                    &WireResponse::Invalid {
-                        line_number,
-                        error: &error,
-                    }
-                    .to_json(),
-                );
-                invalid += 1;
+                replies.drain();
+                replies.invalid(line_number, &error);
             }
         }
     }
-    while !inflight.is_empty() {
-        drain_one(&mut inflight, &mut out);
-    }
-    flush_out(&mut out);
+    replies.drain();
+    flush_out(&mut replies.out);
+    let Replies {
+        served, invalid, ..
+    } = replies;
 
     if let Some(path) = &options.snapshot_save {
         match service.save_snapshot(Path::new(path)) {

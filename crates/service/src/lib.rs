@@ -23,7 +23,9 @@
 //!   [`ServiceConfig::arena_mem_budget`]);
 //! * [`wire`] + [`Json`] — the JSONL request/response format of the
 //!   [`systolicd`](../systolicd/index.html) binary, which replays scripted
-//!   traffic files end to end;
+//!   traffic files end to end; [`AnalysisService::submit_line`] hands
+//!   the workers a line whose JSON envelope is parsed, and they decode
+//!   it, analyse it and render its response line;
 //! * observability — every service shares one
 //!   [`Obs`](systolic_obs::Obs) bundle
 //!   ([`AnalysisService::with_obs`]): analyzer stage timings, arena-cache
@@ -77,7 +79,7 @@ pub use json::{Json, JsonError};
 pub use queue::{BoundedQueue, QueueClosed};
 pub use service::{
     AnalysisRequest, AnalysisResponse, AnalysisService, CacheProvenance, Certified,
-    EditRequestError, EditResponse, NamedEditOp, Rejection, ServiceConfig, ServiceError,
+    EditRequestError, EditResponse, LineReply, NamedEditOp, Rejection, ServiceConfig, ServiceError,
     ServiceOutcome, SnapshotReport, Ticket,
 };
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

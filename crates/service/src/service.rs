@@ -36,6 +36,7 @@ use systolic_sim::{ArenaBudget, SimConfig, VerifyReport};
 use systolic_workloads::TrafficItem;
 
 use crate::snapshot::{self, SnapshotError};
+use crate::wire::{self, AnalysisLine, WireError, WireResponse};
 use crate::{ArenaLru, BoundedQueue, CacheConfig, CacheStats, ShardedCache, Summary};
 
 /// Default arena-LRU capacity ([`ServiceConfig::arena_cache_capacity`]) —
@@ -128,7 +129,7 @@ impl Default for ServiceConfig {
 }
 
 /// One analysis request.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct AnalysisRequest {
     /// Client-chosen identifier, echoed in the response.
     pub name: String,
@@ -321,13 +322,15 @@ impl AnalysisResponse {
     }
 }
 
-/// A pending response, returned by [`AnalysisService::submit`].
+/// A pending reply: an [`AnalysisResponse`] from
+/// [`AnalysisService::submit`], or a [`LineReply`] from
+/// [`AnalysisService::submit_line`].
 #[derive(Debug)]
-pub struct Ticket {
-    rx: mpsc::Receiver<AnalysisResponse>,
+pub struct Ticket<T = AnalysisResponse> {
+    rx: mpsc::Receiver<T>,
 }
 
-impl Ticket {
+impl<T> Ticket<T> {
     /// Blocks until the worker pool answers.
     ///
     /// # Panics
@@ -335,7 +338,7 @@ impl Ticket {
     /// Panics if the service was torn down without answering (a worker
     /// panicked), which is a bug in the service.
     #[must_use]
-    pub fn wait(self) -> AnalysisResponse {
+    pub fn wait(self) -> T {
         self.rx
             .recv()
             // lint: panic-ok(documented # Panics contract; a dropped reply sender is a service bug)
@@ -343,10 +346,24 @@ impl Ticket {
     }
 }
 
+/// A worker's answer to one [`AnalysisService::submit_line`]: the
+/// rendered response line (no trailing newline), or why the line did not
+/// decode into a request.
+pub type LineReply = Result<String, WireError>;
+
 struct Job {
     seq: u64,
-    request: AnalysisRequest,
-    reply: mpsc::Sender<AnalysisResponse>,
+    work: Work,
+}
+
+/// The two kinds of job the one worker loop runs; both go through
+/// [`handle`].
+enum Work {
+    /// A decoded request, answered with the structured response.
+    Request(AnalysisRequest, mpsc::Sender<AnalysisResponse>),
+    /// An envelope-parsed wire line: decoded, handled and rendered in the
+    /// worker.
+    Line(AnalysisLine, mpsc::Sender<LineReply>),
 }
 
 /// Registry instruments the service's hot paths touch, resolved once at
@@ -364,6 +381,12 @@ struct ServiceMetrics {
     /// `systolic_service_handle_duration_micros` — also the source of the
     /// summary's latency percentiles.
     handle_micros: Arc<Histogram>,
+    /// `systolic_wire_decode_duration_micros`: [`wire::decode_request`]
+    /// in the worker.
+    decode_micros: Arc<Histogram>,
+    /// `systolic_wire_encode_duration_micros`: rendering the response
+    /// line in the worker.
+    encode_micros: Arc<Histogram>,
     /// `systolic_service_queue_depth`, maintained by `submit`/worker pop.
     queue_depth: Arc<Gauge>,
     /// `systolic_service_incremental_sessions`, tracking the session
@@ -383,6 +406,8 @@ impl ServiceMetrics {
         ServiceMetrics {
             requests: registry.counter(names::SERVICE_REQUESTS),
             handle_micros: registry.histogram(names::SERVICE_HANDLE_DURATION),
+            decode_micros: registry.histogram(names::WIRE_DECODE_DURATION),
+            encode_micros: registry.histogram(names::WIRE_ENCODE_DURATION),
             queue_depth: registry.gauge(names::SERVICE_QUEUE_DEPTH),
             incremental_sessions: registry.gauge(names::INCREMENTAL_SESSIONS),
             session_evictions: registry.counter(names::INCREMENTAL_SESSION_EVICTIONS),
@@ -698,22 +723,40 @@ impl AnalysisService {
     /// possible during `Drop`, where no caller can hold `&self`).
     #[must_use]
     pub fn submit(&self, request: AnalysisRequest) -> Ticket {
+        let (tx, rx) = mpsc::channel();
+        self.push(Work::Request(request, tx));
+        Ticket { rx }
+    }
+
+    /// Submits one envelope-parsed wire line ([`wire::parse_envelope`]),
+    /// blocking while the submission queue is full, like
+    /// [`AnalysisService::submit`]. A worker decodes it
+    /// ([`wire::decode_request`]), handles it like a submitted request
+    /// and renders the response line
+    /// ([`WireResponse::Analysis`]); a line that does not decode resolves
+    /// to its [`WireError`], and is not counted as a request.
+    ///
+    /// # Panics
+    ///
+    /// As [`AnalysisService::submit`].
+    #[must_use]
+    pub fn submit_line(&self, line: AnalysisLine) -> Ticket<LineReply> {
+        let (tx, rx) = mpsc::channel();
+        self.push(Work::Line(line, tx));
+        Ticket { rx }
+    }
+
+    fn push(&self, work: Work) {
         // lint: relaxed-ok(sequence allocation; fetch_add atomicity alone guarantees uniqueness)
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
         self.inner
             .queue
-            .push(Job {
-                seq,
-                request,
-                reply: tx,
-            })
+            .push(Job { seq, work })
             // lint: panic-ok(documented # Panics contract; queue closes only during Drop)
             .unwrap_or_else(|_| panic!("submission queue closed while service alive"));
         // Gauge via inc/dec (worker pop decrements) rather than len():
         // the queue's own lock stays out of the submission path.
         self.inner.metrics.queue_depth.add(1);
-        Ticket { rx }
     }
 
     /// Submits a whole batch and waits for every response, preserving
@@ -851,7 +894,7 @@ impl AnalysisService {
         store_session(inner, &mut state, fingerprint, session);
         drop(state);
         tracer.finish(span);
-        let handle_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let handle_micros = micros_since(start);
         Ok(EditResponse {
             response: AnalysisResponse {
                 seq,
@@ -1040,7 +1083,7 @@ impl AnalysisService {
                 // lint: relaxed-ok(one-way flag; the warm set itself is published under its lock)
                 .store(true, std::sync::atomic::Ordering::Relaxed);
         }
-        let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let micros = micros_since(start);
         registry
             .counter(names::SNAPSHOT_LOADED_PLANS)
             .add(loaded_plans);
@@ -1077,7 +1120,7 @@ impl AnalysisService {
         let seeds = data.seeds.len() as u64;
         let bytes = snapshot::write_snapshot(&data);
         std::fs::write(path, &bytes)?;
-        let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let micros = micros_since(start);
         let registry = self.inner.obs.registry();
         registry.counter(names::SNAPSHOT_SAVES).inc();
         registry
@@ -1132,12 +1175,63 @@ fn worker_loop(inner: &Inner) {
     // misses, evictions, build timings) — the service adds nothing on
     // top, so every chase is counted once.
     arenas.set_obs(&inner.obs);
+    let tracer = inner.obs.tracer();
     while let Some(job) = inner.queue.pop() {
         inner.metrics.queue_depth.add(-1);
-        let response = handle(inner, job.seq, job.request, &mut arenas);
-        // A dropped Ticket just means the client stopped listening.
-        let _ = job.reply.send(response);
+        // Every request gets a trace: one "request" root span, with the
+        // analyzer's stage spans (and the "verify" chase span) nested
+        // under it on a miss, and the wire decode/encode spans for a
+        // line. The trace id rides the response so the wire layer can
+        // echo it next to the span log. A dropped Ticket just means the
+        // client stopped listening.
+        let span = tracer.start(tracer.new_trace(), None, "request");
+        match job.work {
+            Work::Request(request, reply) => {
+                let response = handle(inner, job.seq, request, span.ctx(), &mut arenas);
+                tracer.finish(span);
+                let _ = reply.send(response);
+            }
+            Work::Line(line, reply) => {
+                let rendered = serve_line(inner, job.seq, &line, span.ctx(), &mut arenas);
+                // A line that does not decode is no request: its spans
+                // are dropped unrecorded, as no reply carries their trace.
+                if rendered.is_ok() {
+                    tracer.finish(span);
+                }
+                let _ = reply.send(rendered);
+            }
+        }
     }
+}
+
+/// Decodes, handles and renders one wire line, timing the decode and
+/// the render as `wire.decode` / `wire.encode` spans under `ctx` and in
+/// their registry histograms.
+fn serve_line(
+    inner: &Inner,
+    seq: u64,
+    line: &AnalysisLine,
+    ctx: SpanCtx,
+    arenas: &mut ArenaLru,
+) -> LineReply {
+    let tracer = inner.obs.tracer();
+    let span = tracer.start(ctx.trace, Some(ctx.parent), "wire.decode");
+    let start = Instant::now();
+    let request = wire::decode_request(line);
+    inner.metrics.decode_micros.record(micros_since(start));
+    let request = request?;
+    tracer.finish(span);
+    let response = handle(inner, seq, request, ctx, arenas);
+    let span = tracer.start(ctx.trace, Some(ctx.parent), "wire.encode");
+    let start = Instant::now();
+    let rendered = WireResponse::Analysis(&response).to_json().to_string();
+    inner.metrics.encode_micros.record(micros_since(start));
+    tracer.finish(span);
+    Ok(rendered)
+}
+
+fn micros_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Replays `plan` through `arenas`' warm arena for `compiled` (building
@@ -1171,20 +1265,16 @@ fn chase(
     }
 }
 
+/// Serves one request under the `ctx` of its "request" span: a cache
+/// hit, or a computed (and possibly chased) miss.
 fn handle(
     inner: &Inner,
     seq: u64,
     request: AnalysisRequest,
+    ctx: SpanCtx,
     arenas: &mut ArenaLru,
 ) -> AnalysisResponse {
     let start = Instant::now();
-    // Every request gets a trace: one "request" root span, with the
-    // analyzer's stage spans (and the "verify" chase span) nested under
-    // it on a miss. The trace id rides the response so the wire layer can
-    // echo it next to the span log.
-    let tracer = inner.obs.tracer();
-    let span = tracer.start(tracer.new_trace(), None, "request");
-    let ctx = span.ctx();
     let fingerprint = request_fingerprint(&request.program, &request.topology, &request.config);
     let (outcome, provenance) = match inner.cache.get(fingerprint) {
         Some(outcome)
@@ -1218,9 +1308,8 @@ fn handle(
             (winner, CacheProvenance::Miss)
         }
     };
-    let handle_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+    let handle_micros = micros_since(start);
     let trace_id = ctx.trace.0;
-    tracer.finish(span);
     inner.metrics.requests.inc();
     inner.metrics.handle_micros.record(handle_micros);
     AnalysisResponse {
@@ -1395,7 +1484,7 @@ fn compute(
     } else {
         None
     };
-    let analysis_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+    let analysis_micros = micros_since(start);
     Ok(Certified {
         max_queues_per_interval: plan.requirements().max_per_interval(),
         plan,
@@ -2021,6 +2110,66 @@ mod tests {
             assert!(!stages.is_empty(), "miss traces carry stage spans");
             assert!(stages.iter().all(|s| s.parent == Some(root.span)));
         }
+    }
+
+    #[test]
+    fn submitted_lines_are_decoded_and_rendered_in_the_worker() {
+        use crate::wire::{parse_envelope, WireRequest};
+        use crate::Json;
+
+        let service = AnalysisService::new(ServiceConfig::default());
+        let program = Json::Str(systolic_model::program_to_text(&fig7(2)));
+        let line = format!(
+            r#"{{"id":"f","program":{program},"topology":{}}}"#,
+            Json::Str(fig7_topology().spec())
+        );
+        let submit = |text: &str, line_number| {
+            let Ok(WireRequest::Analysis(line)) = parse_envelope(text, line_number) else {
+                panic!("an analysis line: {text}");
+            };
+            service.submit_line(line).wait()
+        };
+        let miss = submit(&line, 1).expect("the line decodes");
+        let hit = Json::parse(&submit(&line, 2).expect("the line decodes")).unwrap();
+        let expected = WireResponse::Analysis(
+            &service
+                .submit(wire::parse_request(&line, 3).unwrap())
+                .wait(),
+        )
+        .to_json();
+        for key in ["id", "status", "labels", "fingerprint"] {
+            assert_eq!(hit.get(key), expected.get(key), "{key}");
+        }
+        assert_eq!(hit.get("cache").and_then(Json::as_str), Some("hit"));
+        assert!(miss.contains(r#""cache":"miss""#), "{miss}");
+
+        // The hit's trace holds its decode and encode spans.
+        let trace = hit.get("trace").and_then(Json::as_u64).unwrap();
+        let spans = service.obs().tracer().snapshot();
+        let root = spans
+            .iter()
+            .find(|s| s.trace.0 == trace && s.name == "request")
+            .expect("a request root span");
+        let mut children: Vec<_> = spans
+            .iter()
+            .filter(|s| s.parent == Some(root.span))
+            .map(|s| s.name)
+            .collect();
+        children.sort_unstable();
+        assert_eq!(children, ["wire.decode", "wire.encode"]);
+
+        // A line that does not decode is answered with its error, counted
+        // in the decode histogram but not as a request, and leaves no span.
+        let spans_before = service.obs().tracer().snapshot().len();
+        let bad = submit(r#"{"program":"cells 2","topology":"tree:3"}"#, 4);
+        assert!(matches!(bad, Err(WireError::Model(_))), "{bad:?}");
+        assert_eq!(service.obs().tracer().snapshot().len(), spans_before);
+        let metrics = service.registry_snapshot();
+        assert_eq!(metrics.counter_value(names::SERVICE_REQUESTS, &[]), 3);
+        let histogram = |name| metrics.histogram_value(name, &[]).count;
+        assert_eq!(histogram(names::WIRE_DECODE_DURATION), 3);
+        assert_eq!(histogram(names::WIRE_ENCODE_DURATION), 2);
+        assert_eq!(histogram(names::SERVICE_HANDLE_DURATION), 3);
     }
 
     #[test]

@@ -71,6 +71,16 @@
 //!                   "messages": [0, 1], "cells": [0, 1]}]}
 //! ```
 //!
+//! Decoding a line takes two steps, and [`parse_line`] is their
+//! composition: [`parse_envelope`] parses the JSON and dispatches on
+//! `op`, returning control ops parsed and analysis lines as an
+//! [`AnalysisLine`]; [`decode_request`] decodes an analysis line's fields
+//! (`program` through [`parse_program`], `topology` through
+//! [`Topology::from_spec`], `queues`, `lookahead`). `systolicd serve`
+//! runs the first step on its main thread and the second in a worker,
+//! which also renders the response line ([`WireResponse::to_json`]); the
+//! main thread only writes it.
+//!
 //! Lines are read by [`read_line`]: one line may hold at most
 //! [`MAX_LINE_BYTES`] bytes and must be UTF-8. A line that breaks either
 //! rule is answered `status: "invalid"` like any malformed line, and
@@ -270,19 +280,42 @@ fn parse_lookahead(value: Option<&Json>) -> Result<Lookahead, WireError> {
 /// Returns [`WireError`] for malformed JSON, missing fields, or invalid
 /// embedded program/topology text.
 pub fn parse_request(line: &str, line_number: usize) -> Result<AnalysisRequest, WireError> {
-    parse_request_value(&Json::parse(line)?, line_number)
+    decode_request(&AnalysisLine {
+        value: Json::parse(line)?,
+        line_number,
+    })
 }
 
-/// [`parse_request`] on an already-parsed line, so [`parse_line`] decodes
-/// each line's JSON once.
-fn parse_request_value(value: &Json, line_number: usize) -> Result<AnalysisRequest, WireError> {
+/// An analysis line after [`parse_envelope`]: its JSON is parsed and it
+/// names no control op, but its fields are not decoded yet.
+/// [`decode_request`] finishes it; `systolicd serve` does that in a
+/// worker ([`crate::AnalysisService::submit_line`]).
+#[derive(Clone, PartialEq, Debug)]
+pub struct AnalysisLine {
+    /// The parsed line.
+    pub value: Json,
+    /// 1-based input line number, the default `id`.
+    pub line_number: usize,
+}
+
+/// Decodes an analysis line's fields into an [`AnalysisRequest`]: the
+/// `id`, the `program` text ([`parse_program`]), the `topology` spec
+/// ([`Topology::from_spec`]), `queues` and `lookahead`, with the
+/// lookahead table checked against the program's message count.
+///
+/// # Errors
+///
+/// Returns [`WireError`] for missing or mis-shaped fields and for
+/// invalid embedded program/topology text.
+pub fn decode_request(line: &AnalysisLine) -> Result<AnalysisRequest, WireError> {
+    let value = &line.value;
     if !matches!(value, Json::Obj(_)) {
         return Err(WireError::Field(
             "request line must be a JSON object".into(),
         ));
     }
     let id = match value.get("id") {
-        None => format!("line-{line_number}"),
+        None => format!("line-{}", line.line_number),
         Some(Json::Str(s)) => s.clone(),
         Some(_) => return Err(WireError::Field("`id` must be a string".into())),
     };
@@ -334,10 +367,14 @@ pub struct EditCommand {
 }
 
 /// One parsed JSONL line: an analysis request, or a control op.
-#[derive(Debug)]
-pub enum WireRequest {
+///
+/// The analysis payload `A` is a decoded request for [`parse_line`] and
+/// a not yet decoded [`AnalysisLine`] for [`parse_envelope`]
+/// ([`WireEnvelope`]).
+#[derive(PartialEq, Debug)]
+pub enum WireRequest<A = Box<AnalysisRequest>> {
     /// A regular analysis request ([`parse_request`]).
-    Analysis(Box<AnalysisRequest>),
+    Analysis(A),
     /// `{"op": "metrics"}` (alias `"stats"`): dump the metrics registry
     /// as one JSON object on the response stream.
     Metrics,
@@ -350,15 +387,37 @@ pub enum WireRequest {
     Snapshot(String),
 }
 
+/// A line after [`parse_envelope`]: control ops fully parsed, analysis
+/// lines left for [`decode_request`].
+pub type WireEnvelope = WireRequest<AnalysisLine>;
+
 /// Parses one JSONL line, recognizing control ops (`{"op": "metrics"}`,
-/// `{"op": "edit"}`, `{"op": "snapshot"}`) before falling back to
-/// [`parse_request`].
+/// `{"op": "edit"}`, `{"op": "snapshot"}`) before decoding it as an
+/// analysis request: [`parse_envelope`] followed by [`decode_request`].
 ///
 /// # Errors
 ///
 /// Returns [`WireError`] for malformed JSON, unknown ops, or invalid
 /// analysis requests.
 pub fn parse_line(line: &str, line_number: usize) -> Result<WireRequest, WireError> {
+    Ok(match parse_envelope(line, line_number)? {
+        WireRequest::Analysis(line) => WireRequest::Analysis(Box::new(decode_request(&line)?)),
+        WireRequest::Metrics => WireRequest::Metrics,
+        WireRequest::Edit(command) => WireRequest::Edit(command),
+        WireRequest::Snapshot(name) => WireRequest::Snapshot(name),
+    })
+}
+
+/// The first half of [`parse_line`]: parses the line's JSON and
+/// dispatches on its `op`. Control ops come back parsed; an analysis
+/// line (no string `op`) comes back as an [`AnalysisLine`] for
+/// [`decode_request`].
+///
+/// # Errors
+///
+/// Returns [`WireError`] for malformed JSON, unknown ops, and malformed
+/// control ops.
+pub fn parse_envelope(line: &str, line_number: usize) -> Result<WireEnvelope, WireError> {
     let value = Json::parse(line)?;
     match value.get("op").and_then(Json::as_str) {
         Some("metrics" | "stats") => Ok(WireRequest::Metrics),
@@ -377,10 +436,7 @@ pub fn parse_line(line: &str, line_number: usize) -> Result<WireRequest, WireErr
         Some(other) => Err(WireError::Field(format!(
             "unknown op {other:?} (expected \"metrics\", \"stats\", \"edit\" or \"snapshot\")"
         ))),
-        None => Ok(WireRequest::Analysis(Box::new(parse_request_value(
-            &value,
-            line_number,
-        )?))),
+        None => Ok(WireRequest::Analysis(AnalysisLine { value, line_number })),
     }
 }
 
@@ -1358,6 +1414,103 @@ mod tests {
         assert_eq!(
             rejected.to_string(),
             r#"{"id":"s2","status":"rejected","error":"no --snapshot-save path configured","error_kind":"snapshot"}"#
+        );
+    }
+
+    /// `line` after [`parse_envelope`] and then, for an analysis line,
+    /// [`decode_request`].
+    fn envelope_then_decode(line: &str, line_number: usize) -> Result<WireRequest, WireError> {
+        match parse_envelope(line, line_number)? {
+            WireRequest::Analysis(line) => {
+                Ok(WireRequest::Analysis(Box::new(decode_request(&line)?)))
+            }
+            WireRequest::Metrics => Ok(WireRequest::Metrics),
+            WireRequest::Edit(command) => Ok(WireRequest::Edit(command)),
+            WireRequest::Snapshot(name) => Ok(WireRequest::Snapshot(name)),
+        }
+    }
+
+    /// Lines that fail in each layer of decoding, plus every control op.
+    fn hostile_lines() -> Vec<String> {
+        let program = Json::Str(PROGRAM.to_owned());
+        vec![
+            "not json".to_owned(),
+            "{\"id\":\"cut".to_owned(),
+            format!(r#"{{"op":5,"program":{program},"topology":"linear:2"}}"#),
+            format!(
+                r#"{{"program":{},"topology":"linear:2"}}"#,
+                Json::Str(PROGRAM.replace("c0 -> c1", "c0 -> c9"))
+            ),
+            format!(r#"{{"program":{program},"topology":"tree:3"}}"#),
+            request_line(r#","lookahead":[1,2]"#),
+            request_line(r#","queues":0"#),
+            r#"{"op":"metrics"}"#.to_owned(),
+            r#"{"op":"stats"}"#.to_owned(),
+            r#"{"op":"snapshot","id":"s1"}"#.to_owned(),
+            r#"{"op":"edit","id":"e1","base":"0x2a","ops":[]}"#.to_owned(),
+            r#"{"op":"edit","base":"0x2a"}"#.to_owned(),
+            r#"{"op":"explode"}"#.to_owned(),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// `parse_line` is `parse_envelope` then `decode_request`, on
+        /// generated traffic, on its truncations and on the hostile set.
+        #[test]
+        fn parse_line_is_envelope_then_decode(
+            seed in proptest::prelude::any::<u64>(),
+            hot_percent in 0u32..101,
+            cut in 1usize..64,
+        ) {
+            let config = TrafficConfig { hot_percent, ..TrafficConfig::default() };
+            let mut lines: Vec<String> = traffic(&config, seed, 12)
+                .iter()
+                .map(|item| WireResponse::Traffic { id: &item.name, item }.to_json().to_string())
+                .collect();
+            let truncated: Vec<String> = lines
+                .iter()
+                .map(|line| line[..line.len().saturating_sub(cut)].to_owned())
+                .collect();
+            lines.extend(truncated);
+            lines.extend(hostile_lines());
+            for (i, line) in lines.iter().enumerate() {
+                proptest::prop_assert_eq!(parse_line(line, i + 1), envelope_then_decode(line, i + 1));
+            }
+        }
+    }
+
+    #[test]
+    fn envelope_leaves_analysis_lines_for_the_decoder() {
+        let hostile = hostile_lines();
+        let outcomes: Vec<&str> = hostile
+            .iter()
+            .map(|line| match parse_envelope(line, 1) {
+                Err(_) => "error",
+                Ok(WireRequest::Analysis(line)) if decode_request(&line).is_ok() => "request",
+                Ok(WireRequest::Analysis(_)) => "undecodable",
+                Ok(_) => "control",
+            })
+            .collect();
+        assert_eq!(
+            outcomes,
+            [
+                "error",
+                "error",
+                // A non-string `op` names no control op: an analysis line.
+                "request",
+                "undecodable",
+                "undecodable",
+                "undecodable",
+                "undecodable",
+                "control",
+                "control",
+                "control",
+                "control",
+                "error",
+                "error"
+            ]
         );
     }
 

@@ -90,9 +90,33 @@ fn an_invalid_utf8_line_is_answered_and_its_neighbours_served() {
     assert!(invalid.contains("not valid UTF-8"), "{invalid}");
 }
 
+/// A request line whose `cells 2` program declares 16 000 messages (about
+/// 690 KB) and leaves the last one unread: it is rejected only once the
+/// whole program is parsed.
+fn many_messages_line() -> Vec<u8> {
+    let messages = 16_000;
+    let mut program = String::from("cells 2\n");
+    for m in 0..messages {
+        program.push_str(&format!("message M{m}: c0 -> c1\n"));
+    }
+    for (cell, op, count) in [("c0", 'W', messages), ("c1", 'R', messages - 1)] {
+        program.push_str(&format!("program {cell} {{"));
+        for m in 0..count {
+            program.push_str(&format!(" {op}(M{m})"));
+        }
+        program.push_str(" }\n");
+    }
+    let line = format!(
+        "{{\"id\":\"many\",\"program\":{},\"topology\":\"linear:2\"}}",
+        Json::Str(program)
+    );
+    assert!(line.len() > 600_000 && line.len() < MAX_LINE_BYTES);
+    line.into_bytes()
+}
+
 #[test]
 fn hostile_lines_get_one_invalid_reply_each() {
-    let valid = valid_lines(4);
+    let valid = valid_lines(5);
     let long_string = format!(
         "{{\"id\":\"long\",\"program\":\"{}\",\"topology\":\"linear:2\"}}",
         "x".repeat(400_000)
@@ -106,6 +130,8 @@ fn hostile_lines_get_one_invalid_reply_each() {
         valid[2].clone(),
         b"{\"id\":\"\xc3\x28\"}".to_vec(),
         valid[3].clone(),
+        many_messages_line(),
+        valid[4].clone(),
     ]);
     let output = systolicd(&["serve"], input);
     assert_eq!(output.status.code(), Some(1));
@@ -118,11 +144,166 @@ fn hostile_lines_get_one_invalid_reply_each() {
             "invalid",
             "certified",
             "invalid",
+            "certified",
+            "invalid",
             "certified"
         ]
     );
     let text = String::from_utf8(output.stdout).unwrap();
     assert!(text.contains("over the limit of 1048576 bytes"), "{text}");
+    let many = text.lines().nth(7).unwrap();
+    assert!(many.contains("\"id\":\"line-8\""), "{many}");
+    assert!(many.contains("read 0 times"), "{many}");
+}
+
+/// One line of each way an analysis line can fail to decode, after or
+/// before the JSON envelope is split off.
+fn undecodable_lines() -> Vec<Vec<u8>> {
+    let program = "cells 2\nmessage A: c0 -> c1\nprogram c0 { W(A) }\nprogram c1 { R(A) }\n";
+    let with = |program: &str, topology: &str, extra: &str| {
+        format!(
+            "{{\"program\":{},\"topology\":\"{topology}\"{extra}}}",
+            Json::Str(program.to_owned())
+        )
+        .into_bytes()
+    };
+    vec![
+        b"not json".to_vec(),
+        b"{\"op\":\"explode\"}".to_vec(),
+        with(&program.replace("c0 -> c1", "c0 -> c9"), "linear:2", ""),
+        with(program, "tree:3", ""),
+        with(program, "linear:2", ",\"lookahead\":[1,2]"),
+        with(program, "linear:2", ",\"queues\":0"),
+    ]
+}
+
+/// A response line without the fields that vary from run to run: the
+/// timings, the trace id, the cache provenance (racing workers may both
+/// miss), a snapshot's byte size (it stores the timings) and everything
+/// of a metrics dump but its status.
+fn stable(line: &str) -> Json {
+    let Json::Obj(members) = Json::parse(line).expect("each response is JSON") else {
+        panic!("a response is an object: {line}");
+    };
+    let metrics = members
+        .iter()
+        .any(|(key, value)| key == "status" && value.as_str() == Some("metrics"));
+    Json::Obj(
+        members
+            .into_iter()
+            .filter(|(key, _)| {
+                !["micros", "analysis_micros", "trace", "cache", "bytes"].contains(&key.as_str())
+                    && (!metrics || key == "status")
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn pooled_decoding_keeps_replies_in_line_order() {
+    let Ok(WireRequest::Analysis(base)) = parse_line(EDIT_BASE, 1) else {
+        panic!("the edit base is an analysis request");
+    };
+    let fingerprint = request_fingerprint(&base.program, &base.topology, &base.config);
+    let edit = format!(
+        "{{\"id\":\"e1\",\"op\":\"edit\",\"base\":\"{fingerprint:#034x}\",\"ops\":[\
+         {{\"edit\":\"append\",\"cell\":\"c0\",\"op\":\"W(A)\"}},\
+         {{\"edit\":\"append\",\"cell\":\"c1\",\"op\":\"R(A)\"}}]}}"
+    );
+    // A non-string `op` names no control op: the line is a request.
+    let numeric_op = String::from_utf8(valid_lines(1).remove(0))
+        .unwrap()
+        .replacen("{\"id\"", "{\"op\":5,\"id\"", 1)
+        .into_bytes();
+    let mut specials: Vec<(Vec<u8>, &str)> = undecodable_lines()
+        .into_iter()
+        .map(|line| (line, "invalid"))
+        .collect();
+    specials.extend([
+        (numeric_op, "request"),
+        (b"{\"op\":\"metrics\"}".to_vec(), "metrics"),
+        (EDIT_BASE.as_bytes().to_vec(), "request"),
+        (edit.into_bytes(), "edit"),
+        (b"{\"op\":\"snapshot\",\"id\":\"s1\"}".to_vec(), "snapshot"),
+    ]);
+    let valid = valid_lines(80);
+    let mut lines = Vec::new();
+    let mut kinds = Vec::new();
+    let mut specials = specials.into_iter();
+    for (i, line) in valid.into_iter().enumerate() {
+        lines.push(line);
+        kinds.push("request");
+        if i % 7 == 3 {
+            if let Some((line, kind)) = specials.next() {
+                lines.push(line);
+                kinds.push(kind);
+            }
+        }
+    }
+    assert!(specials.next().is_none(), "every special line is placed");
+    let input = join_lines(&lines);
+
+    let run = |workers: &str| {
+        let snap = std::env::temp_dir().join(format!(
+            "systolicd-order-{workers}-{}.snap",
+            std::process::id()
+        ));
+        let output = systolicd(
+            &[
+                "serve",
+                "--workers",
+                workers,
+                "--summary-json",
+                "--snapshot-save",
+                snap.to_str().unwrap(),
+            ],
+            input.clone(),
+        );
+        let _ = std::fs::remove_file(snap);
+        output
+    };
+    let (pooled, single) = (run("4"), run("1"));
+    for output in [&pooled, &single] {
+        assert_eq!(output.status.code(), Some(1), "invalid lines exit 1");
+        let summary = summary_json(&String::from_utf8(output.stderr.clone()).unwrap());
+        let count = |kind: &str| kinds.iter().filter(|k| **k == kind).count() as u64;
+        assert_eq!(
+            summary.get("invalid_lines").and_then(Json::as_u64),
+            Some(count("invalid"))
+        );
+        assert_eq!(
+            summary.get("requests").and_then(Json::as_u64),
+            Some(count("request"))
+        );
+    }
+
+    let text = String::from_utf8(pooled.stdout).unwrap();
+    let replies: Vec<&str> = text.lines().collect();
+    assert_eq!(replies.len(), kinds.len(), "one reply per line");
+    for (i, (reply, kind)) in replies.iter().zip(&kinds).enumerate() {
+        let status = Json::parse(reply)
+            .unwrap()
+            .get("status")
+            .and_then(Json::as_str)
+            .map(str::to_owned);
+        if *kind == "invalid" {
+            assert_eq!(status.as_deref(), Some("invalid"), "line {}", i + 1);
+            assert!(
+                reply.contains(&format!("\"id\":\"line-{}\"", i + 1)),
+                "{reply}"
+            );
+        } else {
+            assert_ne!(
+                status.as_deref(),
+                Some("invalid"),
+                "line {}: {reply}",
+                i + 1
+            );
+        }
+    }
+    let single = String::from_utf8(single.stdout).unwrap();
+    let stable_lines = |text: &str| text.lines().map(stable).collect::<Vec<_>>();
+    assert_eq!(stable_lines(&text), stable_lines(&single));
 }
 
 /// FNV-1a (64-bit) of `bytes`.
@@ -291,5 +472,48 @@ fn summary_json_counts_equal_the_metrics_exposition() {
             Some(series(name)),
             "{key} vs {name}"
         );
+    }
+}
+
+#[test]
+fn trace_file_shows_where_a_cache_hit_spent_its_time() {
+    let dir = std::env::temp_dir();
+    let trace = dir.join(format!("systolicd-trace-{}.jsonl", std::process::id()));
+    let metrics = dir.join(format!("systolicd-wire-{}.txt", std::process::id()));
+    let line = valid_lines(1).remove(0);
+    let output = systolicd(
+        &[
+            "serve",
+            "--workers",
+            "1",
+            "--trace-file",
+            trace.to_str().unwrap(),
+            "--metrics-file",
+            metrics.to_str().unwrap(),
+        ],
+        join_lines(&[line.clone(), line]),
+    );
+    assert!(output.status.success(), "{output:?}");
+    let spans = std::fs::read_to_string(&trace).expect("trace written");
+    let exposition = std::fs::read_to_string(&metrics).expect("metrics written");
+    let _ = (std::fs::remove_file(trace), std::fs::remove_file(metrics));
+
+    let text = String::from_utf8(output.stdout).unwrap();
+    let hit = Json::parse(text.lines().nth(1).unwrap()).unwrap();
+    assert_eq!(hit.get("cache").and_then(Json::as_str), Some("hit"));
+    let trace_id = hit.get("trace").and_then(Json::as_u64).unwrap();
+    let mut names: Vec<String> = spans
+        .lines()
+        .map(|line| Json::parse(line).unwrap())
+        .filter(|span| span.get("trace").and_then(Json::as_u64) == Some(trace_id))
+        .map(|span| span.get("name").and_then(Json::as_str).unwrap().to_owned())
+        .collect();
+    names.sort_unstable();
+    assert_eq!(names, ["request", "wire.decode", "wire.encode"]);
+    for name in [
+        "systolic_wire_decode_duration_micros_count 2",
+        "systolic_wire_encode_duration_micros_count 2",
+    ] {
+        assert!(exposition.contains(name), "no {name} in {exposition}");
     }
 }
