@@ -56,13 +56,14 @@ use std::time::Instant;
 use systolic_model::{CellId, MessageId, MessageRoutes, Program, Topology};
 use systolic_obs::{names, Obs, SpanCtx};
 
+use crate::constraint_labeling::label_from_trace;
 use crate::crossing_off::{classify_with_snapshot, MachineSnapshot};
 use crate::labeling::label_messages_assignments_only;
 use crate::{
-    check_consistency, classify_with, label_messages, label_messages_robust, Analysis,
-    AnalysisConfig, Classification, CommPlan, CompetingSets, CompiledTopology,
-    ConsistencyViolation, CoreError, Diagnostic, DiagnosticCode, Diagnostics, Labeling,
-    LabelingMethod, LabelingReport, Lookahead, LookaheadLimits, QueueRequirements,
+    check_consistency, classify_with, label_messages, Analysis, AnalysisConfig, Classification,
+    CommPlan, CompetingSets, CompiledTopology, ConsistencyViolation, CoreError, Diagnostic,
+    DiagnosticCode, Diagnostics, Labeling, LabelingMethod, LabelingReport, Lookahead,
+    LookaheadLimits, QueueRequirements,
 };
 
 /// Precomputed artifacts the incremental path injects into a session so
@@ -642,6 +643,13 @@ impl<'a> AnalyzerSession<'a> {
                     return Err(error);
                 }
                 let limits = self.limits()?;
+                // The constraint solver reuses the classification stage's
+                // crossing-off run instead of repeating it.
+                let robust = || LabelingOutcome {
+                    labeling: label_from_trace(self.program, classification.trace()),
+                    method: LabelingMethod::ConstraintSolver,
+                    report: None,
+                };
                 let section6 = |report: LabelingReport| LabelingOutcome {
                     labeling: report.labeling().clone(),
                     method: LabelingMethod::Section6,
@@ -659,15 +667,7 @@ impl<'a> AnalyzerSession<'a> {
                     }
                 };
                 match self.analyzer.labeling {
-                    LabelingStrategy::ConstraintSolver => {
-                        let labeling = label_messages_robust(self.program, limits)
-                            .map_err(|e| self.label_error(&e))?;
-                        Ok(LabelingOutcome {
-                            labeling,
-                            method: LabelingMethod::ConstraintSolver,
-                            report: None,
-                        })
-                    }
+                    LabelingStrategy::ConstraintSolver => Ok(robust()),
                     LabelingStrategy::Section6 => match run_section6(self.program, limits) {
                         Ok(report) => Ok(section6(report)),
                         Err(error) => Err(self.label_error(&error)),
@@ -685,13 +685,7 @@ impl<'a> AnalyzerSession<'a> {
                                      using the constraint-solving scheme"
                                 ),
                             ));
-                            let labeling = label_messages_robust(self.program, limits)
-                                .map_err(|e| self.label_error(&e))?;
-                            Ok(LabelingOutcome {
-                                labeling,
-                                method: LabelingMethod::ConstraintSolver,
-                                report: None,
-                            })
+                            Ok(robust())
                         }
                         Err(other) => Err(self.label_error(&other)),
                     },

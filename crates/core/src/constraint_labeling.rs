@@ -25,10 +25,13 @@
 //! force it — which is what keeps the simultaneous-assignment queue
 //! requirement small.
 
+use std::collections::HashSet;
+
 use systolic_model::{MessageId, Program};
 
 use crate::{
     classify_with, Classification, CoreError, Label, Labeling, LookaheadLimits, RelatedMessages,
+    Trace,
 };
 
 /// Runs the constraint-solving labeling scheme.
@@ -45,22 +48,28 @@ pub fn label_messages_robust(
     limits: &LookaheadLimits,
 ) -> Result<Labeling, CoreError> {
     // Deadlock-freedom check + the skip sets for rule-1d equalities.
-    let classification = classify_with(program, limits);
-    let trace = match &classification {
-        Classification::DeadlockFree(trace) => trace,
-        Classification::Deadlocked { trace, stuck } => {
-            return Err(CoreError::ProgramDeadlocked {
-                crossed_words: trace.total_pairs(),
-                remaining_ops: stuck.remaining_ops,
-            });
-        }
-    };
+    match classify_with(program, limits) {
+        Classification::DeadlockFree(trace) => Ok(label_from_trace(program, &trace)),
+        Classification::Deadlocked { trace, stuck } => Err(CoreError::ProgramDeadlocked {
+            crossed_words: trace.total_pairs(),
+            remaining_ops: stuck.remaining_ops,
+        }),
+    }
+}
 
+/// The constraint-solving scheme over `trace`, the crossing-off run that
+/// classified `program` deadlock-free (under the limits being labeled
+/// for). The analyzer passes its classification stage's trace here
+/// instead of crossing off a second time.
+pub(crate) fn label_from_trace(program: &Program, trace: &Trace) -> Labeling {
     let n = program.num_messages();
     // Adjacency of the <= digraph, with equalities as edges both ways.
+    // Edges keep their first-insertion order: Kosaraju's numbering below
+    // follows adjacency order, and so do the labels.
     let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let add_le = |a: MessageId, b: MessageId, succ: &mut Vec<Vec<usize>>| {
-        if a != b && !succ[a.index()].contains(&b.index()) {
+    let mut seen: HashSet<(usize, usize)> = HashSet::new();
+    let mut add_le = |a: MessageId, b: MessageId| {
+        if a != b && seen.insert((a.index(), b.index())) {
             succ[a.index()].push(b.index());
         }
     };
@@ -69,22 +78,22 @@ pub fn label_messages_robust(
     for cell in program.cell_ids() {
         let ops = program.cell(cell);
         for w in ops.ops().windows(2) {
-            add_le(w[0].message(), w[1].message(), &mut succ);
+            add_le(w[0].message(), w[1].message());
         }
     }
     // Rule 1c: related messages are equal.
     let related = RelatedMessages::of(program);
     for class in related.classes() {
         for pair in class.windows(2) {
-            add_le(pair[0], pair[1], &mut succ);
-            add_le(pair[1], pair[0], &mut succ);
+            add_le(pair[0], pair[1]);
+            add_le(pair[1], pair[0]);
         }
     }
     // Rule 1d: skipped-over messages share the pair's label.
     for pair in trace.pairs() {
         for &skipped in pair.skipped.keys() {
-            add_le(pair.message, skipped, &mut succ);
-            add_le(skipped, pair.message, &mut succ);
+            add_le(pair.message, skipped);
+            add_le(skipped, pair.message);
         }
     }
 
@@ -99,7 +108,7 @@ pub fn label_messages_robust(
     let labels = (0..n)
         .map(|m| Label::integer(component[m] as i64 + 1))
         .collect();
-    Ok(Labeling::from_labels(labels))
+    Labeling::from_labels(labels)
 }
 
 /// Kosaraju's algorithm (iterative), returning the component index of each

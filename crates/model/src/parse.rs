@@ -15,7 +15,7 @@
 //! `OP(MSG)*N` repeats an operation `N` times — the paper's `W(X)…`
 //! sequence notation from Fig. 7.
 
-use crate::{CellRef, ModelError, Program, ProgramBuilder};
+use crate::{CellRef, ModelError, Program, ProgramBuilder, MAX_SPEC_CELLS};
 
 /// Parses a program from the text format above.
 ///
@@ -106,6 +106,14 @@ impl<'a> Parser<'a> {
             if let Ok(n) = tokens[0].parse::<usize>() {
                 if n == 0 {
                     return Err(Self::err(line, "an array needs at least one cell"));
+                }
+                // Checked before `ProgramBuilder::new` names every cell:
+                // no topology spec can hold more cells than this anyway.
+                if n > MAX_SPEC_CELLS {
+                    return Err(Self::err(
+                        line,
+                        format!("`cells {n}` exceeds the limit of {MAX_SPEC_CELLS} cells"),
+                    ));
                 }
                 return Ok(ProgramBuilder::new(n));
             }
@@ -280,6 +288,24 @@ mod tests {
         .unwrap();
         assert_eq!(p.total_words(), 4);
         assert_eq!(p.cell(CellId::new(0)).len(), 2);
+    }
+
+    #[test]
+    fn cell_count_is_bounded_before_allocation() {
+        let text = format!("# huge\ncells {}\n", MAX_SPEC_CELLS + 1);
+        match parse_program(&text).unwrap_err() {
+            ModelError::Parse { line, message } => {
+                assert_eq!(line, 2);
+                assert!(message.contains("exceeds the limit"), "{message}");
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
+        assert!(matches!(
+            parse_program("cells 100000000\n"),
+            Err(ModelError::Parse { line: 1, .. })
+        ));
+        let largest = parse_program(&format!("cells {MAX_SPEC_CELLS}\n")).unwrap();
+        assert_eq!(largest.num_cells(), MAX_SPEC_CELLS);
     }
 
     #[test]

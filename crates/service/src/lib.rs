@@ -17,8 +17,9 @@
 //!   certified plan with a `systolic_sim` verification run) and returns
 //!   structured [`AnalysisResponse`]s with cache provenance and timings;
 //! * verification chasing — each worker replays its certified misses
-//!   through its own [`ArenaLru`] (warm arenas keyed by compiled
-//!   topology, sized by an [`ArenaBudget`]:
+//!   through its own [`ArenaLru`] ([`ArenaLru::verify`]: warm arenas
+//!   keyed by compiled topology, a replay panic contained to its arena,
+//!   outcomes and replay timings counted; sized by an [`ArenaBudget`]:
 //!   [`ServiceConfig::arena_cache_capacity`] /
 //!   [`ServiceConfig::arena_mem_budget`]);
 //! * [`wire`] + [`Json`] — the JSONL request/response format of the

@@ -30,9 +30,9 @@ use systolic_core::{
     Diagnostic, EditError, EditOp, IncrementalConfig, IncrementalSession, Label, LabelingMethod,
     ReuseReport,
 };
-use systolic_model::{CanonicalHash, ModelError, Op, Program, Topology};
+use systolic_model::{CanonicalHash, Op, Program, Topology};
 use systolic_obs::{names, Counter, Gauge, Histogram, Obs, RegistrySnapshot, SpanCtx};
-use systolic_sim::{ArenaBudget, SimConfig, VerifyReport};
+use systolic_sim::{panic_message, ArenaBudget, SimConfig, VerifyReport, VerifyTaskError};
 use systolic_workloads::TrafficItem;
 
 use crate::snapshot::{self, SnapshotError};
@@ -416,14 +416,6 @@ impl ServiceMetrics {
     }
 }
 
-/// Why a verification chase failed to produce a report.
-enum ChaseError {
-    /// The replay's setup was rejected (cell-count mismatch).
-    Model(ModelError),
-    /// The replay panicked; the arena involved was dropped.
-    Panicked(String),
-}
-
 /// One edit operation with names instead of ids — the shape the JSONL
 /// wire layer produces. Names are resolved against the *base* session's
 /// current program by [`AnalysisService::apply_edit`].
@@ -585,19 +577,6 @@ struct Inner {
 }
 
 impl Inner {
-    /// Counts one chase under `systolic_verify_outcomes_total`, the
-    /// source of the summary's per-topology `verify[...]` rows.
-    fn tally_chase(&self, topology: &Topology, report: &VerifyReport) {
-        let outcome = if report.completed { "ok" } else { "blocked" };
-        self.obs
-            .registry()
-            .counter_with(
-                names::VERIFY_OUTCOMES,
-                &[("topology", &topology.spec()), ("outcome", outcome)],
-            )
-            .inc();
-    }
-
     /// Compiles `(topology, config)` with its route LRU counting into the
     /// shared registry.
     fn compile(&self, topology: &Topology, config: &AnalysisConfig) -> Arc<CompiledTopology> {
@@ -850,41 +829,27 @@ impl AnalysisService {
                     .message_ids()
                     .map(|m| (program.message(m).name().to_owned(), plan.label(m)))
                     .collect();
-                // Chase certified edits exactly like misses (inline
-                // through the edit path's own arenas, or the verifier
-                // pool), with the same rejection semantics.
-                let chased = if inner.config.verify {
-                    let compiled = Arc::clone(session.analyzer().compiled());
-                    let chase_span = tracer.start(ctx.trace, Some(ctx.parent), "verify");
-                    let chased = chase(inner, &mut state.arenas, &compiled, program, &plan);
-                    tracer.finish(chase_span);
-                    chased.map(|report| {
-                        inner.tally_chase(compiled.topology(), &report);
-                        Some(report)
-                    })
-                } else {
-                    Ok(None)
-                };
-                match chased {
-                    Ok(verified) => Ok(Certified {
-                        max_queues_per_interval: plan.requirements().max_per_interval(),
-                        plan,
-                        labeling_method,
-                        message_labels,
-                        verified,
-                        analysis_micros: u64::try_from(start.elapsed().as_micros())
-                            .unwrap_or(u64::MAX),
-                        diagnostics,
-                    }),
-                    Err(ChaseError::Model(error)) => Err(Rejection {
-                        error: ServiceError::Analysis(CoreError::Model(error)),
-                        diagnostics,
-                    }),
-                    Err(ChaseError::Panicked(message)) => Err(Rejection {
-                        error: ServiceError::Panicked(message),
-                        diagnostics: Vec::new(),
-                    }),
-                }
+                // Chase certified edits exactly like misses, through the
+                // edit path's own arenas.
+                let compiled = session.analyzer().compiled();
+                replay(
+                    inner,
+                    &mut state.arenas,
+                    compiled,
+                    program,
+                    &plan,
+                    ctx,
+                    &diagnostics,
+                )
+                .map(|verified| Certified {
+                    max_queues_per_interval: plan.requirements().max_per_interval(),
+                    plan,
+                    labeling_method,
+                    message_labels,
+                    verified,
+                    analysis_micros: micros_since(start),
+                    diagnostics,
+                })
             }
             Err(error) => Err(Rejection {
                 error: ServiceError::Analysis(error.clone()),
@@ -1234,34 +1199,37 @@ fn micros_since(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Replays `plan` through `arenas`' warm arena for `compiled` (building
-/// one on a miss), with panic isolation: a replay panic drops the
-/// possibly-poisoned arena and reports [`ChaseError::Panicked`] instead
-/// of unwinding the calling thread.
-fn chase(
+/// The `verify` chase of a certified plan: `None` when the service does
+/// not verify, else one [`ArenaLru::verify`] replay under a `verify` span
+/// (which covers the arena lookup too). The LRU contains a replay panic
+/// and counts outcomes and replay timings itself. A rejected replay setup
+/// keeps the analysis's `diagnostics`; a replay panic carries none.
+fn replay(
     inner: &Inner,
     arenas: &mut ArenaLru,
     compiled: &Arc<CompiledTopology>,
     program: &Program,
     plan: &Arc<CommPlan>,
-) -> Result<VerifyReport, ChaseError> {
-    let fingerprint = compiled.fingerprint();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // The LRU counts its own hit/miss/eviction into the registry.
-        let lookup = arenas.get_or_build(compiled, inner.config.sim);
-        lookup.arena.verify(program, plan)
-    }));
-    match result {
-        Ok(Ok(report)) => Ok(report),
-        Ok(Err(error)) => Err(ChaseError::Model(error)),
-        Err(panic) => {
-            // The panic may have left the arena mid-replay; drop exactly
-            // that arena (the rest of the LRU stays warm) so the next
-            // request for this topology rebuilds instead of reusing
-            // poisoned queue state.
-            arenas.remove(fingerprint);
-            Err(ChaseError::Panicked(panic_message(&panic)))
-        }
+    ctx: SpanCtx,
+    diagnostics: &[Diagnostic],
+) -> Result<Option<VerifyReport>, Rejection> {
+    if !inner.config.verify {
+        return Ok(None);
+    }
+    let tracer = inner.obs.tracer();
+    let span = tracer.start(ctx.trace, Some(ctx.parent), "verify");
+    let replayed = arenas.verify(compiled, inner.config.sim, program, plan);
+    tracer.finish(span);
+    match replayed {
+        Ok(report) => Ok(Some(report)),
+        Err(VerifyTaskError::Model(error)) => Err(Rejection {
+            error: ServiceError::Analysis(CoreError::Model(error)),
+            diagnostics: diagnostics.to_vec(),
+        }),
+        Err(VerifyTaskError::Panicked(message)) => Err(Rejection {
+            error: ServiceError::Panicked(message),
+            diagnostics: Vec::new(),
+        }),
     }
 }
 
@@ -1291,14 +1259,14 @@ fn handle(
             // hostile) request rejects that request instead of killing
             // the worker and, via the dropped reply channel, the client.
             // (Replay panics are already contained — and their arena
-            // dropped — inside `chase`.)
+            // dropped — inside `ArenaLru::verify`.)
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 compute(inner, &request, fingerprint, arenas, ctx)
             }));
             let computed: ServiceOutcome = Arc::new(match result {
                 Ok(outcome) => outcome,
                 Err(panic) => Err(Rejection {
-                    error: ServiceError::Panicked(panic_message(&panic)),
+                    error: ServiceError::Panicked(panic_message(&*panic)),
                     diagnostics: Vec::new(),
                 }),
             });
@@ -1389,16 +1357,6 @@ fn store_session(inner: &Inner, state: &mut EditState, key: u128, session: Incre
         .set(i64::try_from(state.sessions.len()).unwrap_or(i64::MAX));
 }
 
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic payload".to_owned()
-    }
-}
-
 /// The shared compilation for a request's `(topology, config)` pair:
 /// served from the compilation cache, compiled and published on a miss
 /// (first writer wins, as with the plan cache).
@@ -1453,37 +1411,17 @@ fn compute(
         .message_ids()
         .map(|m| (request.program.message(m).name().to_owned(), plan.label(m)))
         .collect();
-    let verified = if inner.config.verify {
-        // Chase the certification with a simulator replay through this
-        // worker's warm arena LRU. The span covers the whole chase, arena
-        // lookup included.
-        let chase_span = inner
-            .obs
-            .tracer()
-            .start(ctx.trace, Some(ctx.parent), "verify");
-        let chased = chase(inner, arenas, &compiled, &request.program, &plan);
-        inner.obs.tracer().finish(chase_span);
-        match chased {
-            Ok(report) => {
-                inner.tally_chase(&request.topology, &report);
-                Some(report)
-            }
-            Err(ChaseError::Model(error)) => {
-                return Err(Rejection {
-                    error: ServiceError::Analysis(CoreError::Model(error)),
-                    diagnostics,
-                })
-            }
-            Err(ChaseError::Panicked(message)) => {
-                return Err(Rejection {
-                    error: ServiceError::Panicked(message),
-                    diagnostics: Vec::new(),
-                })
-            }
-        }
-    } else {
-        None
-    };
+    // Chase the certification with a simulator replay through this
+    // worker's warm arena LRU.
+    let verified = replay(
+        inner,
+        arenas,
+        &compiled,
+        &request.program,
+        &plan,
+        ctx,
+        &diagnostics,
+    )?;
     let analysis_micros = micros_since(start);
     Ok(Certified {
         max_queues_per_interval: plan.requirements().max_per_interval(),
@@ -2048,10 +1986,15 @@ mod tests {
             Lookahead::Explicit(systolic_core::LookaheadLimits::from_table(vec![None]));
         let service = AnalysisService::new(ServiceConfig::default());
         let response = service.submit(poisoned).wait();
-        assert!(matches!(
-            response.outcome.as_ref(),
-            Err(r) if matches!(r.error, ServiceError::Panicked(_))
-        ));
+        // The rejection carries the panic's own message.
+        assert!(
+            matches!(
+                response.outcome.as_ref(),
+                Err(r) if matches!(&r.error, ServiceError::Panicked(m) if m.contains("out of bounds"))
+            ),
+            "{:?}",
+            response.outcome
+        );
         // The pool survives and serves later requests normally.
         let healthy = service.submit(fig7_request()).wait();
         assert!(healthy.is_certified());

@@ -116,7 +116,7 @@ fn many_messages_line() -> Vec<u8> {
 
 #[test]
 fn hostile_lines_get_one_invalid_reply_each() {
-    let valid = valid_lines(5);
+    let valid = valid_lines(6);
     let long_string = format!(
         "{{\"id\":\"long\",\"program\":\"{}\",\"topology\":\"linear:2\"}}",
         "x".repeat(400_000)
@@ -132,12 +132,16 @@ fn hostile_lines_get_one_invalid_reply_each() {
         valid[3].clone(),
         many_messages_line(),
         valid[4].clone(),
+        b"{\"id\":\"huge\",\"program\":\"cells 100000000\\n\",\"topology\":\"linear:2\"}".to_vec(),
+        valid[5].clone(),
     ]);
     let output = systolicd(&["serve"], input);
     assert_eq!(output.status.code(), Some(1));
     assert_eq!(
         statuses(&output),
         [
+            "certified",
+            "invalid",
             "certified",
             "invalid",
             "certified",
@@ -154,6 +158,13 @@ fn hostile_lines_get_one_invalid_reply_each() {
     let many = text.lines().nth(7).unwrap();
     assert!(many.contains("\"id\":\"line-8\""), "{many}");
     assert!(many.contains("read 0 times"), "{many}");
+    // `cells N` is bounded before any per-cell allocation.
+    let huge = text.lines().nth(9).unwrap();
+    assert!(huge.contains("\"id\":\"line-10\""), "{huge}");
+    assert!(
+        huge.contains("exceeds the limit of 1048576 cells"),
+        "{huge}"
+    );
 }
 
 /// One line of each way an analysis line can fail to decode, after or
@@ -473,6 +484,22 @@ fn summary_json_counts_equal_the_metrics_exposition() {
             "{key} vs {name}"
         );
     }
+    // Every counted verify outcome is one recorded replay, in both replay
+    // histograms (the cycle histogram summed over its topology series).
+    let summed = |prefix: &str| -> u64 {
+        exposition
+            .lines()
+            .filter_map(|line| line.strip_prefix(prefix)?.rsplit_once(' '))
+            .map(|(_, value)| value.parse::<u64>().unwrap())
+            .sum()
+    };
+    let outcomes = summed("systolic_verify_outcomes_total{");
+    assert!(outcomes > 0, "{exposition}");
+    assert_eq!(summed("systolic_verify_replay_cycles_count{"), outcomes);
+    assert_eq!(
+        series("systolic_verify_replay_duration_micros_count"),
+        outcomes
+    );
 }
 
 #[test]

@@ -1,31 +1,37 @@
 //! A small LRU of verification arenas over multiple worlds, keyed by
-//! compiled-topology fingerprint.
+//! compiled-topology fingerprint, and the one replay primitive built on
+//! it.
 //!
-//! The verification chase replays a certified plan through a
-//! [`SimArena`]. Arenas are cheap to *reuse* (state resets in place) but
-//! expensive to *build* (queue pools for every interval of the fabric),
-//! and an arena is only valid for the topology it was built over. A
-//! holder of just the **last** topology's arena thrashes as soon as
-//! traffic interleaves two topologies — A, B, A, B rebuilds on every
-//! request. [`ArenaLru`] keeps the last few topologies' arenas warm
-//! instead, with no locking: each owner (a [`VerifyScheduler`] worker, a
-//! service thread) holds its LRU outright.
+//! A certified plan is checked by replaying it through a [`SimArena`].
+//! Arenas are cheap to *reuse* (state resets in place) but expensive to
+//! *build* (queue pools for every interval of the fabric), and an arena
+//! is only valid for the topology it was built over. A holder of just the
+//! **last** topology's arena thrashes as soon as traffic interleaves two
+//! topologies — A, B, A, B rebuilds on every request. [`ArenaLru`] keeps
+//! the last few topologies' arenas warm instead, with no locking: each
+//! owner (a service worker thread, the service's edit path) holds its LRU
+//! outright.
+//!
+//! [`ArenaLru::verify`] is the replay every caller goes through: lookup
+//! or build, replay, panic isolation (a panicking replay drops only its
+//! own arena) and the per-topology outcome counters and replay
+//! histograms.
 //!
 //! Residency is governed by an [`ArenaBudget`]: a fixed entry count, an
 //! **auto** mode that tracks the distinct-topology cardinality the owner
 //! has actually observed, or a **memory budget** in bytes enforced
 //! against each arena's [`approx_bytes`](SimArena::approx_bytes)
 //! estimate.
-//!
-//! [`VerifyScheduler`]: crate::VerifyScheduler
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use systolic_core::CompiledTopology;
+use systolic_core::{CommPlan, CompiledTopology};
+use systolic_model::{ModelError, Program};
 use systolic_obs::{names, Counter, Histogram, Obs};
 
-use crate::{SimArena, SimConfig};
+use crate::{SimArena, SimConfig, VerifyReport};
 
 /// Auto-sized LRUs never grow past this many resident arenas, so a
 /// hostile stream naming thousands of distinct topologies cannot turn
@@ -59,16 +65,72 @@ impl ArenaBudget {
     }
 }
 
+/// Why [`ArenaLru::verify`] produced no [`VerifyReport`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum VerifyTaskError {
+    /// Replay setup was rejected (cell-count mismatch between the program
+    /// and the plan's topology).
+    Model(ModelError),
+    /// The replay panicked; the LRU dropped the possibly-poisoned arena
+    /// (the rest stays warm) and carries the panic message here instead
+    /// of unwinding.
+    Panicked(String),
+}
+
+impl std::fmt::Display for VerifyTaskError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            VerifyTaskError::Model(e) => write!(f, "{e}"),
+            VerifyTaskError::Panicked(msg) => write!(f, "replay panicked: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for VerifyTaskError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            VerifyTaskError::Model(e) => Some(e),
+            VerifyTaskError::Panicked(_) => None,
+        }
+    }
+}
+
+/// The text of a caught panic payload (`panic!` with a literal or a
+/// formatted message), for reporting a contained panic.
+#[must_use]
+pub fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = panic.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = panic.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "unknown panic payload".to_owned()
+    }
+}
+
 /// One resident arena: the world's key (compiled-topology fingerprint)
 /// and the [`SimConfig`] it was built under (both must match for reuse —
 /// an arena's queue shapes and cycle limits are baked in at
-/// construction), a recency tick, and the arena itself.
+/// construction), a recency tick, the arena itself and its topology's
+/// replay instruments.
 #[derive(Debug)]
 struct Entry {
     key: u128,
     sim: SimConfig,
     last_used: u64,
     arena: SimArena,
+    replay: Option<ReplayInstruments>,
+}
+
+/// A topology's `systolic_verify_outcomes_total{outcome}` counters and
+/// the replay duration and cycle histograms, resolved when its arena is
+/// built so a replay touches only atomics.
+#[derive(Debug)]
+struct ReplayInstruments {
+    ok: Arc<Counter>,
+    blocked: Arc<Counter>,
+    micros: Arc<Histogram>,
+    cycles: Arc<Histogram>,
 }
 
 /// The result of an [`ArenaLru::get_or_build`] lookup: the arena to
@@ -86,9 +148,9 @@ pub struct ArenaLookup<'a> {
 
 /// A tiny, lock-free-by-ownership LRU of [`SimArena`]s keyed by
 /// [`CompiledTopology::fingerprint`] (or any caller-chosen 128-bit key),
-/// sized by an [`ArenaBudget`]. Each scheduler worker or service thread
-/// owns one, so topology-interleaved traffic keeps the warm fabrics'
-/// arenas resident instead of rebuilding per request.
+/// sized by an [`ArenaBudget`]. Each service worker thread owns one, so
+/// topology-interleaved traffic keeps the warm fabrics' arenas resident
+/// instead of rebuilding per request.
 ///
 /// # Examples
 ///
@@ -120,9 +182,11 @@ pub struct ArenaLru {
 }
 
 /// Registry instruments resolved once at [`ArenaLru::set_obs`] time, so
-/// the lookup hot path touches only atomics.
+/// the lookup hot path touches only atomics. The bundle itself is kept
+/// to resolve each built arena's per-topology [`ReplayInstruments`].
 #[derive(Debug)]
 struct LruInstruments {
+    obs: Arc<Obs>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     evictions: Arc<Counter>,
@@ -152,12 +216,18 @@ impl ArenaLru {
     /// Attaches a metrics registry: every lookup from now on counts into
     /// the shared `systolic_arena_cache_{hits,misses,evictions}_total`
     /// counters and fresh builds record their wall time into the
-    /// `systolic_arena_build_duration_micros` histogram. The LRU is the
-    /// **single writer** of these series — holders (scheduler workers,
-    /// service threads) attach the same bundle and their traffic sums.
-    pub fn set_obs(&mut self, obs: &Obs) {
+    /// `systolic_arena_build_duration_micros` histogram. Each
+    /// [`verify`](ArenaLru::verify) counts its outcome into
+    /// `systolic_verify_outcomes_total{topology,outcome}` and records
+    /// `systolic_verify_replay_duration_micros` and
+    /// `systolic_verify_replay_cycles{topology}`. The LRU is the **single
+    /// writer** of these series — holders (service threads) attach the
+    /// same bundle and their traffic sums. Arenas already resident stay
+    /// unobserved until rebuilt.
+    pub fn set_obs(&mut self, obs: &Arc<Obs>) {
         let registry = obs.registry();
         self.instruments = Some(LruInstruments {
+            obs: Arc::clone(obs),
             hits: registry.counter(names::ARENA_CACHE_HITS),
             misses: registry.counter(names::ARENA_CACHE_MISSES),
             evictions: registry.counter(names::ARENA_CACHE_EVICTIONS),
@@ -220,6 +290,101 @@ impl ArenaLru {
         compiled: &Arc<CompiledTopology>,
         sim: SimConfig,
     ) -> ArenaLookup<'_> {
+        let (entry, hit, evicted) = self.entry(compiled, sim);
+        ArenaLookup {
+            arena: &mut entry.arena,
+            hit,
+            evicted,
+        }
+    }
+
+    /// Replays `program` under `plan`'s compatible assignment through the
+    /// arena for `compiled` under `sim` (resident, or built as by
+    /// [`get_or_build`](ArenaLru::get_or_build)). This is the one replay
+    /// primitive the serving layer verifies certified plans with:
+    ///
+    /// * a replay panic is contained: the possibly-poisoned arena alone
+    ///   is dropped (the rest of the LRU stays warm, the next request for
+    ///   that topology rebuilds) and the panic comes back as
+    ///   [`VerifyTaskError::Panicked`];
+    /// * with [`set_obs`](ArenaLru::set_obs) attached, each report counts
+    ///   into `systolic_verify_outcomes_total{topology,outcome}` (`ok` or
+    ///   `blocked`) and records its wall time (in-place reset plus the
+    ///   cycle-stepped run) and simulated cycle count.
+    ///
+    /// # Errors
+    ///
+    /// [`VerifyTaskError::Model`] if the program does not fit the
+    /// topology; [`VerifyTaskError::Panicked`] if the replay panicked (for
+    /// instance, a plan certified over a different topology).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use systolic_core::{AnalysisConfig, Analyzer, CompiledTopology};
+    /// use systolic_obs::{names, Obs};
+    /// use systolic_sim::{ArenaBudget, ArenaLru, SimConfig};
+    /// use systolic_workloads::{fig7, fig7_topology};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let compiled =
+    ///     CompiledTopology::compile(&fig7_topology(), &AnalysisConfig::default()).into_shared();
+    /// let analyzer = Analyzer::new(Arc::clone(&compiled));
+    /// let obs = Arc::new(Obs::new());
+    /// let mut lru = ArenaLru::with_budget(ArenaBudget::Auto);
+    /// lru.set_obs(&obs);
+    /// for reps in 2..6 {
+    ///     let program = fig7(reps);
+    ///     let plan = Arc::new(analyzer.analyze(&program)?.into_plan());
+    ///     let report = lru.verify(&compiled, SimConfig::default(), &program, &plan)?;
+    ///     assert!(report.completed);
+    /// }
+    /// let metrics = obs.registry().snapshot();
+    /// assert_eq!(metrics.counter_value(names::ARENA_CACHE_MISSES, &[]), 1);
+    /// assert_eq!(metrics.histogram_total(names::VERIFY_REPLAY_CYCLES).count, 4);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn verify(
+        &mut self,
+        compiled: &Arc<CompiledTopology>,
+        sim: SimConfig,
+        program: &Program,
+        plan: &Arc<CommPlan>,
+    ) -> Result<VerifyReport, VerifyTaskError> {
+        let replayed = catch_unwind(AssertUnwindSafe(|| {
+            let (entry, _, _) = self.entry(compiled, sim);
+            let start = Instant::now();
+            let report = entry.arena.verify(program, plan)?;
+            if let Some(replay) = &entry.replay {
+                replay.micros.record(start.elapsed().as_micros() as u64);
+                replay.cycles.record(report.cycles);
+                if report.completed {
+                    &replay.ok
+                } else {
+                    &replay.blocked
+                }
+                .inc();
+            }
+            Ok(report)
+        }));
+        match replayed {
+            Ok(outcome) => outcome.map_err(VerifyTaskError::Model),
+            Err(panic) => {
+                self.remove(compiled.fingerprint());
+                Err(VerifyTaskError::Panicked(panic_message(&*panic)))
+            }
+        }
+    }
+
+    /// The resident entry for `compiled` under `sim`, or a freshly built
+    /// one; with whether it was a hit and whether admitting it evicted.
+    fn entry(
+        &mut self,
+        compiled: &Arc<CompiledTopology>,
+        sim: SimConfig,
+    ) -> (&mut Entry, bool, bool) {
         let key = compiled.fingerprint();
         self.tick += 1;
         if !self.observed.contains(&key) && self.observed.len() < 4 * MAX_AUTO_ARENAS {
@@ -231,11 +396,7 @@ impl ArenaLru {
                 if let Some(m) = &self.instruments {
                     m.hits.inc();
                 }
-                return ArenaLookup {
-                    arena: &mut self.entries[idx].arena,
-                    hit: true,
-                    evicted: false,
-                };
+                return (&mut self.entries[idx], true, false);
             }
             // Same topology, different simulation parameters: the stale
             // arena is useless (and dangerous to reuse) — drop it and
@@ -244,29 +405,42 @@ impl ArenaLru {
         }
         let build_start = Instant::now();
         let arena = SimArena::from_compiled(Arc::clone(compiled), sim);
-        if let Some(m) = &self.instruments {
+        let replay = self.instruments.as_ref().map(|m| {
             m.misses.inc();
             m.build_micros
                 .record(build_start.elapsed().as_micros() as u64);
-        }
+            // Spec strings can be large (graph topologies list every
+            // edge), so they are rendered once per build, not per replay.
+            let spec = compiled.topology().spec();
+            let registry = m.obs.registry();
+            let outcome = |outcome| {
+                registry.counter_with(
+                    names::VERIFY_OUTCOMES,
+                    &[("topology", &spec), ("outcome", outcome)],
+                )
+            };
+            ReplayInstruments {
+                ok: outcome("ok"),
+                blocked: outcome("blocked"),
+                micros: registry.histogram(names::VERIFY_REPLAY_DURATION),
+                cycles: registry
+                    .histogram_with(names::VERIFY_REPLAY_CYCLES, &[("topology", &spec)]),
+            }
+        });
         self.entries.push(Entry {
             key,
             sim,
             last_used: self.tick,
             arena,
+            replay,
         });
         let evicted = self.enforce_budget();
-        let arena = &mut self
+        let entry = self
             .entries
             .iter_mut()
             .max_by_key(|e| e.last_used)
-            .expect("just pushed") // lint: panic-ok(back() of a vec pushed one line up)
-            .arena;
-        ArenaLookup {
-            arena,
-            hit: false,
-            evicted,
-        }
+            .expect("just pushed"); // lint: panic-ok(back() of a vec pushed one line up)
+        (entry, false, evicted)
     }
 
     /// Evicts least-recently-used entries until the budget holds,
@@ -305,11 +479,11 @@ impl ArenaLru {
         }
     }
 
-    /// Drops the arena for `key`, if resident. Used when a replay
-    /// panicked mid-run: the arena's queue state may be poisoned, so the
-    /// next request for that topology rebuilds instead of reusing it —
-    /// the poisoned arena drops alone, the rest of the LRU stays warm.
-    /// Returns whether an entry was dropped.
+    /// Drops the arena for `key`, if resident. [`verify`](ArenaLru::verify)
+    /// calls it when a replay panicked mid-run: the arena's queue state
+    /// may be poisoned, so the next request for that topology rebuilds
+    /// instead of reusing it — the poisoned arena drops alone, the rest of
+    /// the LRU stays warm. Returns whether an entry was dropped.
     pub fn remove(&mut self, key: u128) -> bool {
         match self.entries.iter().position(|e| e.key == key) {
             Some(idx) => {
@@ -494,7 +668,7 @@ mod tests {
 
     #[test]
     fn observed_lru_counts_hits_misses_evictions_and_build_time() {
-        let obs = Obs::new();
+        let obs = Arc::new(Obs::new());
         let mut lru = ArenaLru::new(1);
         lru.set_obs(&obs);
         let (a, b) = (compiled(2), compiled(3));
@@ -508,6 +682,109 @@ mod tests {
         assert_eq!(
             snap.histogram_value(names::ARENA_BUILD_DURATION, &[]).count,
             2
+        );
+    }
+
+    /// A certified one-message plan for `program` on `topology`.
+    fn certified(
+        program: &str,
+        topology: &Topology,
+    ) -> (Program, Arc<CompiledTopology>, Arc<CommPlan>) {
+        let program = systolic_model::parse_program(program).unwrap();
+        let compiled =
+            CompiledTopology::compile(topology, &AnalysisConfig::default()).into_shared();
+        let plan = systolic_core::Analyzer::new(Arc::clone(&compiled))
+            .analyze(&program)
+            .unwrap()
+            .into_plan();
+        (program, compiled, Arc::new(plan))
+    }
+
+    #[test]
+    fn verify_counts_outcomes_and_records_replay_histograms() {
+        let obs = Arc::new(Obs::new());
+        let mut lru = ArenaLru::with_budget(ArenaBudget::Auto);
+        lru.set_obs(&obs);
+        let topology = Topology::linear(3);
+        let (program, compiled, plan) = certified(
+            "cells 3\nmessage A: c0 -> c2\nprogram c0 { W(A)*2 }\nprogram c2 { R(A)*2 }\n",
+            &topology,
+        );
+        for _ in 0..3 {
+            let report = lru
+                .verify(&compiled, SimConfig::default(), &program, &plan)
+                .unwrap();
+            assert!(report.completed);
+        }
+        let snap = obs.registry().snapshot();
+        let spec = topology.spec();
+        let counted = |outcome| {
+            snap.counter_value(
+                names::VERIFY_OUTCOMES,
+                &[("topology", &spec), ("outcome", outcome)],
+            )
+        };
+        assert_eq!((counted("ok"), counted("blocked")), (3, 0));
+        let cycles = snap.histogram_value(names::VERIFY_REPLAY_CYCLES, &[("topology", &spec)]);
+        assert_eq!(cycles.count, 3);
+        assert!(cycles.sum > 0);
+        assert_eq!(
+            snap.histogram_value(names::VERIFY_REPLAY_DURATION, &[])
+                .count,
+            3
+        );
+        assert_eq!(snap.counter_value(names::ARENA_CACHE_MISSES, &[]), 1);
+        assert_eq!(snap.counter_value(names::ARENA_CACHE_HITS, &[]), 2);
+    }
+
+    #[test]
+    fn verify_contains_a_replay_panic_and_drops_only_its_arena() {
+        // A plan certified on ring:4 routes `c0 -> c3` over the wraparound
+        // interval, which a linear:4 arena does not have: its replay
+        // panics (as `SimArena::verify` documents).
+        let (program, _, ring_plan) = certified(
+            "cells 4\nmessage A: c0 -> c3\nprogram c0 { W(A) }\nprogram c3 { R(A) }\n",
+            &Topology::ring(4),
+        );
+        let (other, mesh, mesh_plan) = certified(
+            "cells 4\nmessage A: c0 -> c1\nprogram c0 { W(A) }\nprogram c1 { R(A) }\n",
+            &Topology::mesh(2, 2),
+        );
+        let line = compiled(4);
+        let obs = Arc::new(Obs::new());
+        let mut lru = ArenaLru::with_budget(ArenaBudget::Auto);
+        lru.set_obs(&obs);
+        assert!(
+            lru.verify(&mesh, SimConfig::default(), &other, &mesh_plan)
+                .unwrap()
+                .completed
+        );
+        lru.get_or_build(&line, SimConfig::default());
+        assert!(lru.contains(line.fingerprint()));
+
+        let outcome = lru.verify(&line, SimConfig::default(), &program, &ring_plan);
+        assert!(
+            matches!(outcome, Err(VerifyTaskError::Panicked(_))),
+            "{outcome:?}"
+        );
+        assert!(
+            !lru.contains(line.fingerprint()),
+            "the poisoned arena is dropped"
+        );
+        assert!(
+            lru.contains(mesh.fingerprint()),
+            "the other arena stays warm"
+        );
+        let snap = obs.registry().snapshot();
+        assert_eq!(
+            snap.counter_total(names::VERIFY_OUTCOMES),
+            1,
+            "a panicked replay counts no outcome"
+        );
+        assert_eq!(
+            snap.histogram_value(names::VERIFY_REPLAY_DURATION, &[])
+                .count,
+            1
         );
     }
 

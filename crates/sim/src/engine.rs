@@ -32,8 +32,9 @@
 //!   N replays performs one setup, not N.
 //!
 //! [`Simulation`] remains as the one-shot convenience wrapper (build one
-//! world + arena, run once); batch callers use [`SimArena`] directly — see
-//! [`crate::verify_batch_compiled`].
+//! world + arena, run once); callers that replay many plans keep their
+//! arenas in an [`ArenaLru`](crate::ArenaLru) and replay through
+//! [`ArenaLru::verify`](crate::ArenaLru::verify).
 
 use std::sync::Arc;
 

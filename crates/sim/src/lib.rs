@@ -20,57 +20,25 @@
 //! * quiescence-based deadlock detection with a full
 //!   [diagnosis](DeadlockReport).
 //!
-//! # Verifying at scale
+//! # Verifying certified plans
 //!
-//! The engine is split into an immutable per-batch [`SimWorld`] (topology,
+//! The engine is split into an immutable [`SimWorld`] (topology,
 //! optionally precompiled; simulation parameters) and a reusable
 //! [`SimArena`] whose run state — queue pools, program counters, per-hop
 //! word tables — is **reset in place** between replays rather than
-//! reallocated. Batch verification ([`verify_batch_compiled`]) replays a
-//! whole batch of certified plans through one arena: routes come from each
-//! plan, plans are shared as `Arc<CommPlan>`, and the queue pool grows to
-//! the batch's largest requirement once. That is what lets a serving layer
-//! chase cached analyses with simulator replays at cache-hit throughput.
+//! reallocated. [`SimArena::verify`] replays one certified plan through
+//! an arena: routes come from the plan, plans are shared as
+//! `Arc<CommPlan>`, and the queue pool grows to the plan's requirement.
 //!
-//! On a multi-core node batches fan out over the [`VerifyScheduler`]: N
-//! workers, each owning an [`ArenaLru`] of arenas keyed by
-//! compiled-topology fingerprint, a work-stealing cursor over the plan
-//! indices, and reports merged back into input order — byte-identical to
-//! the sequential path run per topology group. One scheduler spans **all**
-//! topologies: a heterogeneous mesh/torus/line batch verifies in a single
-//! fan-out, workers switching worlds by warm LRU lookup instead of
-//! rebuild, with residency governed by an [`ArenaBudget`] (fixed count,
-//! observed-cardinality auto sizing, or a byte budget against
-//! [`SimArena::approx_bytes`]). Pick `threads` ≈ the cores you can spare:
-//! replays are CPU-bound and share no mutable state, so throughput scales
-//! until the batch runs out of plans to steal.
-//!
-//! ```
-//! use std::sync::Arc;
-//! use systolic_core::{AnalysisConfig, Analyzer, CompiledTopology};
-//! use systolic_sim::{verify_batch_compiled, SimConfig};
-//! use systolic_workloads::{fig7, fig7_topology};
-//!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let topology = fig7_topology();
-//! let compiled = CompiledTopology::compile(&topology, &AnalysisConfig::default()).into_shared();
-//! let analyzer = Analyzer::new(Arc::clone(&compiled));
-//! let batch: Vec<_> = (2..6)
-//!     .map(|reps| {
-//!         let program = fig7(reps);
-//!         let plan = Arc::new(analyzer.analyze(&program)?.into_plan());
-//!         Ok::<_, systolic_core::CoreError>((program, plan))
-//!     })
-//!     .collect::<Result<_, _>>()?;
-//! let reports = verify_batch_compiled(
-//!     batch.iter().map(|(p, plan)| (p, plan)),
-//!     &compiled,
-//!     SimConfig::default(),
-//! )?;
-//! assert!(reports.iter().all(|r| r.completed));
-//! # Ok(())
-//! # }
-//! ```
+//! A serving layer verifies through an [`ArenaLru`]: arenas of the last
+//! few topologies, keyed by compiled-topology fingerprint, with residency
+//! governed by an [`ArenaBudget`] (fixed count, observed-cardinality auto
+//! sizing, or a byte budget against [`SimArena::approx_bytes`]).
+//! [`ArenaLru::verify`] is the one replay primitive: it looks up or
+//! builds the arena, replays, contains a replay panic by dropping only
+//! that arena ([`VerifyTaskError::Panicked`]), and counts outcomes and
+//! replay timings into the attached registry. Parallelism comes from the
+//! owners: each `systolic-service` worker thread holds its own LRU.
 //!
 //! # Examples
 //!
@@ -114,11 +82,12 @@ mod engine;
 mod policy;
 mod pool;
 mod queue;
-mod sched;
 mod stats;
 mod verify;
 
-pub use arena_lru::{ArenaBudget, ArenaLookup, ArenaLru, MAX_AUTO_ARENAS};
+pub use arena_lru::{
+    panic_message, ArenaBudget, ArenaLookup, ArenaLru, VerifyTaskError, MAX_AUTO_ARENAS,
+};
 pub use cost::CostModel;
 pub use deadlock::{BlockReason, BlockedCell, DeadlockReport, QueueSnapshot};
 pub use engine::{run_simulation, RunOutcome, SimArena, SimConfig, SimWorld, Simulation};
@@ -127,9 +96,5 @@ pub use policy::{
 };
 pub use pool::{PoolView, QueuePools};
 pub use queue::{HwQueue, QueueConfig, Word};
-pub use sched::{VerifyScheduler, VerifyTaskError};
 pub use stats::{AssignmentEvent, RunStats};
-pub use verify::{
-    verify_batch, verify_batch_compiled, verify_plan, verify_plan_compiled, ReplayDeadlock,
-    VerifyReport,
-};
+pub use verify::{verify_plan, verify_plan_compiled, ReplayDeadlock, VerifyReport};

@@ -7,18 +7,17 @@
 //! (`systolic-service`) uses it to chase cached analyses with an end-to-end
 //! run.
 //!
-//! # Verifying at scale
+//! # One-shot and reused arenas
 //!
-//! A service verifies *batches*: many certified plans over one topology.
-//! [`verify_batch_compiled`] replays them all through **one**
-//! [`SimArena`]: queue pools, per-cell state and per-hop tables are reset
-//! in place between replays instead of rebuilt, routes come straight from
-//! each plan (no per-replay routing), and plans travel as
-//! [`Arc<CommPlan>`] so the [`CompatiblePolicy`] borrows instead of
-//! deep-cloning. The one-shot [`verify_plan`] by contrast pays full setup
-//! per call — routing each message over the topology and allocating fresh
-//! pools — which is exactly the gap the `verify` criterion bench measures
-//! (shared arena ≥ 1.5× faster over a 64-plan batch).
+//! [`verify_plan`] pays full setup per call — routing each message over
+//! the topology and allocating fresh pools. [`SimArena::verify`] replays
+//! through an arena whose queue pools, per-cell state and per-hop tables
+//! are reset in place between replays, with routes taken straight from
+//! each plan and plans shared as [`Arc<CommPlan>`] so the
+//! [`CompatiblePolicy`] borrows instead of deep-cloning. The `verify`
+//! criterion bench measures that gap (reused arena ≥ 1.5× faster over a
+//! 64-plan batch); [`ArenaLru::verify`](crate::ArenaLru::verify) is the
+//! served replay built on it.
 
 use std::sync::Arc;
 
@@ -74,9 +73,9 @@ impl std::fmt::Display for ReplayDeadlock {
 
 /// The result of replaying one plan through the simulator.
 ///
-/// Implements `PartialEq`/`Eq` so batch paths can be checked for
-/// byte-identical results (the parallel [`crate::VerifyScheduler`] must
-/// match the sequential [`verify_batch_compiled`] report-for-report).
+/// Implements `PartialEq`/`Eq` so replay paths can be checked for
+/// identical results (a reused arena must match [`verify_plan`]
+/// report-for-report).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct VerifyReport {
     /// `true` if every cell completed its program — what Theorem 1
@@ -110,7 +109,8 @@ impl VerifyReport {
 
 impl SimArena {
     /// Replays `program` under `plan`'s compatible assignment through this
-    /// arena — the batch verification primitive. Routes come from the
+    /// arena — the reuse primitive under
+    /// [`ArenaLru::verify`](crate::ArenaLru::verify). Routes come from the
     /// plan itself (certified over this world's topology), the queue pool
     /// is raised to the plan's requirement
     /// ([`ensure_queues`](SimArena::ensure_queues)), and all run state is
@@ -152,8 +152,9 @@ impl SimArena {
 /// `config` asks for more queues.
 ///
 /// This is the **one-shot** path: it builds a fresh [`SimWorld`] and
-/// [`SimArena`] and routes every message over `topology`, per call. Batch
-/// callers share one arena via [`verify_batch_compiled`] instead.
+/// [`SimArena`] and routes every message over `topology`, per call.
+/// Callers with more than one plan reuse an arena ([`SimArena::verify`],
+/// [`ArenaLru::verify`](crate::ArenaLru::verify)) instead.
 ///
 /// # Errors
 ///
@@ -192,7 +193,7 @@ pub fn verify_plan(
     };
     let world = SimWorld::new(topology, config);
     // The per-call setup shape: route every message over the topology and
-    // build fresh pools, exactly what a batch arena amortizes away.
+    // build fresh pools, exactly what a reused arena amortizes away.
     let routes = world.routes_for(program)?;
     let mut arena = SimArena::new(world);
     let mut policy = CompatiblePolicy::new(Arc::clone(plan));
@@ -206,8 +207,7 @@ pub fn verify_plan(
 /// [`verify_plan`] for callers holding a [`CompiledTopology`] (the
 /// serving layer), so they need not carry the `&Topology` separately.
 /// Runs on a single-replay [`SimArena`]; for more than one plan, build
-/// the arena once and call [`SimArena::verify`] per plan (or use
-/// [`verify_batch_compiled`]).
+/// the arena once and call [`SimArena::verify`] per plan.
 ///
 /// # Errors
 ///
@@ -220,46 +220,6 @@ pub fn verify_plan_compiled(
 ) -> Result<VerifyReport, ModelError> {
     let mut arena = SimArena::from_compiled(Arc::clone(compiled), config);
     arena.verify(program, plan)
-}
-
-/// Replays every `(program, topology, plan)` triple in a batch. Each
-/// item may name a different topology, so each replay builds its own
-/// world; same-topology batches should use [`verify_batch_compiled`].
-///
-/// # Errors
-///
-/// Fails fast on the first setup error; per-run outcomes are in the
-/// reports.
-pub fn verify_batch<'a>(
-    batch: impl IntoIterator<Item = (&'a Program, &'a Topology, &'a Arc<CommPlan>)>,
-    config: SimConfig,
-) -> Result<Vec<VerifyReport>, ModelError> {
-    batch
-        .into_iter()
-        .map(|(program, topology, plan)| verify_plan(program, topology, plan, config))
-        .collect()
-}
-
-/// Replays a batch of `(program, plan)` pairs that all share one
-/// precompiled topology — the common shape of a service batch — through
-/// **one** [`SimArena`]. Queue pools and run-state vectors are built
-/// once and reset in place per replay; the pool grows to the batch's
-/// largest queue requirement and never shrinks.
-///
-/// # Errors
-///
-/// Fails fast on the first setup error (cell-count mismatch); per-run
-/// outcomes are in the reports.
-pub fn verify_batch_compiled<'a>(
-    batch: impl IntoIterator<Item = (&'a Program, &'a Arc<CommPlan>)>,
-    compiled: &Arc<CompiledTopology>,
-    config: SimConfig,
-) -> Result<Vec<VerifyReport>, ModelError> {
-    let mut arena = SimArena::from_compiled(Arc::clone(compiled), config);
-    batch
-        .into_iter()
-        .map(|(program, plan)| arena.verify(program, plan))
-        .collect()
 }
 
 #[cfg(test)]
@@ -307,15 +267,12 @@ mod tests {
         assert_eq!(direct.cycles, via_compiled.cycles);
         assert_eq!(direct.words_delivered, via_compiled.words_delivered);
 
-        let reports = verify_batch_compiled(
-            [(&program, &plan), (&program, &plan)],
-            &compiled,
-            SimConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(|r| r.completed));
-        assert!(reports.iter().all(|r| r.cycles == direct.cycles));
+        let mut arena = SimArena::from_compiled(Arc::clone(&compiled), SimConfig::default());
+        for _ in 0..2 {
+            let report = arena.verify(&program, &plan).unwrap();
+            assert!(report.completed);
+            assert_eq!(report.cycles, direct.cycles);
+        }
     }
 
     #[test]
@@ -333,28 +290,6 @@ mod tests {
         assert_eq!(plan.requirements().max_per_interval(), 2);
         let report = verify_plan(&program, &topology, &plan, SimConfig::default()).unwrap();
         assert!(report.completed);
-    }
-
-    #[test]
-    fn batch_reports_every_run() {
-        let p7 = fig7(3);
-        let t7 = fig7_topology();
-        let plan7 = plan_for(&p7, &t7, &AnalysisConfig::default());
-        let p9 = fig9();
-        let t9 = fig9_topology();
-        let c9 = AnalysisConfig {
-            queues_per_interval: 2,
-            ..Default::default()
-        };
-        let plan9 = plan_for(&p9, &t9, &c9);
-
-        let reports = verify_batch(
-            [(&p7, &t7, &plan7), (&p9, &t9, &plan9)],
-            SimConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(|r| r.completed));
     }
 
     #[test]

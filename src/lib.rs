@@ -60,48 +60,42 @@
 //! # }
 //! ```
 //!
-//! # Verifying at scale
+//! # Verifying certified plans
 //!
-//! Batch replays share one [`sim::SimArena`]: the immutable world
-//! (topology + config) is built once and the run state is reset in place
-//! per replay. With a precompiled topology, routes come from the shared
-//! closure and certified plans travel as `Arc`s. On a multi-core node,
-//! [`sim::VerifyScheduler`] fans a **heterogeneous** batch — `(program,
-//! compiled topology, plan)` triples over any mix of fabrics — across N
-//! worker threads, each holding a budgeted LRU of warm arenas keyed by
-//! compiled-topology fingerprint ([`sim::ArenaBudget`]: fixed, auto, or
-//! bytes), with work-stealing and reports merged back into input order —
-//! byte-identical to the sequential path per topology group. Tuning: one
-//! scheduler thread per spare core — replays are CPU-bound and share no
-//! mutable state, so throughput scales until the batch runs out of plans
-//! to steal — and an arena budget matching the distinct topologies each
-//! worker sees. The serving layer (`ServiceConfig::verify`) chases each
-//! certified miss inline in the analysis worker, through that worker's
-//! own arena LRU.
+//! A replay runs on a [`sim::SimArena`]: the immutable world (topology +
+//! config) is built once and the run state is reset in place per replay.
+//! With a precompiled topology, routes come from the shared closure and
+//! certified plans travel as `Arc`s. [`sim::ArenaLru::verify`] is the one
+//! replay path: it keeps the arenas of the last few topologies warm,
+//! keyed by compiled-topology fingerprint, within an
+//! [`sim::ArenaBudget`] (fixed, auto, or bytes), and contains a replay
+//! panic by dropping only that arena. The serving layer
+//! (`ServiceConfig::verify`) chases each certified miss inline in the
+//! analysis worker through that worker's own LRU, so `--workers` sets how
+//! many replays run at once.
 //!
 //! ```
 //! use std::sync::Arc;
 //! use systolic::core::{AnalysisConfig, Analyzer, CompiledTopology};
-//! use systolic::sim::{verify_batch_compiled, SimConfig};
+//! use systolic::model::Topology;
+//! use systolic::sim::{ArenaBudget, ArenaLru, SimConfig};
 //! use systolic::workloads::{fig7, fig7_topology};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let compiled =
-//!     CompiledTopology::compile(&fig7_topology(), &AnalysisConfig::default()).into_shared();
-//! let analyzer = Analyzer::new(Arc::clone(&compiled));
-//! let batch: Vec<_> = (2..5)
-//!     .map(|reps| {
+//! let config = AnalysisConfig::default();
+//! let line = CompiledTopology::compile(&fig7_topology(), &config).into_shared();
+//! let ring = CompiledTopology::compile(&Topology::ring(4), &config).into_shared();
+//! let mut arenas = ArenaLru::with_budget(ArenaBudget::Auto);
+//! for reps in 2..5 {
+//!     // Interleaved fabrics: both arenas stay warm.
+//!     for compiled in [&line, &ring] {
 //!         let program = fig7(reps);
-//!         let plan = Arc::new(analyzer.analyze(&program)?.into_plan());
-//!         Ok::<_, systolic::core::CoreError>((program, plan))
-//!     })
-//!     .collect::<Result<_, _>>()?;
-//! let reports = verify_batch_compiled(
-//!     batch.iter().map(|(program, plan)| (program, plan)),
-//!     &compiled,
-//!     SimConfig::default(),
-//! )?;
-//! assert!(reports.iter().all(|r| r.completed));
+//!         let plan = Arc::new(Analyzer::new(Arc::clone(compiled)).analyze(&program)?.into_plan());
+//!         let report = arenas.verify(compiled, SimConfig::default(), &program, &plan)?;
+//!         assert!(report.completed);
+//!     }
+//! }
+//! assert_eq!(arenas.len(), 2);
 //! # Ok(())
 //! # }
 //! ```

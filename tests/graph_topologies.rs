@@ -164,15 +164,11 @@ fn torus_wraparound_routes_and_completes() {
     assert!(report.completed);
     assert_eq!(report.words_delivered, 4);
 
-    // The same plan replays identically through a shared batch arena.
+    // The same plan replays identically, twice, through one reused arena.
     let compiled = systolic::core::CompiledTopology::compile(&topology, &config).into_shared();
-    let reports = systolic::sim::verify_batch_compiled(
-        [(&program, &plan), (&program, &plan)],
-        &compiled,
-        SimConfig::default(),
-    )
-    .unwrap();
-    assert!(reports
-        .iter()
-        .all(|r| r.completed && r.cycles == report.cycles));
+    let mut arena = systolic::sim::SimArena::from_compiled(compiled, SimConfig::default());
+    for _ in 0..2 {
+        let replayed = arena.verify(&program, &plan).unwrap();
+        assert!(replayed.completed && replayed.cycles == report.cycles);
+    }
 }

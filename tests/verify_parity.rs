@@ -1,35 +1,27 @@
-//! Property: batch verification through one shared `SimArena`
-//! (`verify_batch_compiled`) is observationally identical to sequential
-//! one-shot `verify_plan` calls — same `completed`, `cycles` and
-//! `words_delivered` per plan — over generated mixed-traffic workloads.
-//! Arena reuse (reset-in-place pools, plan-route reuse, queue-pool
-//! growth across a batch) must never leak state between replays.
+//! Property: replaying a batch of certified plans through one reused
+//! `SimArena` is observationally identical to one-shot `verify_plan`
+//! calls — every `VerifyReport` equal, `ReplayDeadlock` details included —
+//! over generated mixed-traffic workloads. Arena reuse (reset-in-place
+//! pools, plan-route reuse, queue-pool growth across a batch) must never
+//! leak state between replays.
 //!
-//! Property two: fanning the same batch over an N-thread
-//! `VerifyScheduler` is **byte-identical** to the sequential batch —
-//! every `VerifyReport` (including `ReplayDeadlock` details) equal, in
-//! input order — no matter the thread count or which worker stole which
-//! plan. A setup error surfaces for the earliest offending index, as on
-//! the sequential path.
-//!
-//! Property three: one heterogeneous `VerifyScheduler` fan-out over an
-//! interleaved mesh/torus/linear batch is byte-identical to splitting the
-//! batch by compiled-topology fingerprint and running each group through
-//! sequential `verify_batch_compiled` — across thread counts, across
-//! reused scheduler instances, and for deadlocking latch replays too.
+//! Property two: the served replay path, `ArenaLru::verify`, over an
+//! interleaved mesh/torus/linear batch matches `verify_plan_compiled` per
+//! item — under `ArenaBudget::Fixed(1)`, which evicts on every topology
+//! switch, and under `ArenaBudget::Auto`, which keeps every fabric warm;
+//! on buffered queues and on deadlocking latch replays alike.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use systolic::core::{AnalysisConfig, Analyzer, CommPlan, CompiledTopology, Lookahead};
-use systolic::model::{ModelError, Program, Topology};
+use systolic::model::{Program, Topology};
 use systolic::sim::{
-    verify_batch_compiled, verify_plan, ArenaBudget, QueueConfig, SimConfig, VerifyReport,
-    VerifyScheduler,
+    verify_plan, verify_plan_compiled, ArenaBudget, ArenaLru, QueueConfig, SimArena, SimConfig,
 };
 use systolic::workloads::{fig5_p2, fig7, fig7_topology, traffic, TrafficConfig, TrafficItem};
 
-/// One same-topology batch: the shape `verify_batch_compiled` serves.
+/// One same-topology batch: the plans one reused arena replays.
 struct Batch {
     compiled: Arc<CompiledTopology>,
     topology: Topology,
@@ -75,51 +67,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn parallel_pool_is_byte_identical_to_sequential(
-        seed in 0u64..1_000_000,
-        count in 4usize..12,
-        hot_percent in 0u32..101,
-        threads in 2usize..6,
-    ) {
-        let config = TrafficConfig { hot_percent, ..Default::default() };
-        let mut stream = traffic(&config, seed, count);
-        stream.push(TrafficItem {
-            name: "fig7/3".into(),
-            program: fig7(3),
-            topology: fig7_topology(),
-            queues_per_interval: 1,
-        });
-
-        let sim = SimConfig::default();
-        for batch in certified_batches(&stream) {
-            if batch.items.is_empty() {
-                continue;
-            }
-            let sequential = verify_batch_compiled(
-                batch.items.iter().map(|(program, plan)| (program, plan)),
-                &batch.compiled,
-                sim,
-            )
-            .expect("batch setup succeeds");
-            // A fresh scheduler, then a second fan-out through the same
-            // warm arenas: neither may drift (reset-in-place across
-            // batches).
-            let mut scheduler = VerifyScheduler::new(sim, threads, ArenaBudget::Fixed(1));
-            for _ in 0..2 {
-                let parallel = scheduler
-                    .verify_batch(
-                        batch
-                            .items
-                            .iter()
-                            .map(|(program, plan)| (program, &batch.compiled, plan)),
-                    )
-                    .expect("scheduler setup succeeds");
-                prop_assert_eq!(&parallel, &sequential, "threads = {}", threads);
-            }
-        }
-    }
-
-    #[test]
     fn batch_verification_equals_sequential(
         seed in 0u64..1_000_000,
         count in 4usize..12,
@@ -142,19 +89,12 @@ proptest! {
             if batch.items.is_empty() {
                 continue;
             }
-            let batch_reports = verify_batch_compiled(
-                batch.items.iter().map(|(program, plan)| (program, plan)),
-                &batch.compiled,
-                sim,
-            )
-            .expect("batch setup succeeds");
-            prop_assert_eq!(batch_reports.len(), batch.items.len());
-            for ((program, plan), through_arena) in batch.items.iter().zip(&batch_reports) {
+            let mut arena = SimArena::from_compiled(Arc::clone(&batch.compiled), sim);
+            for (program, plan) in &batch.items {
+                let through_arena = arena.verify(program, plan).expect("setup succeeds");
                 let sequential =
                     verify_plan(program, &batch.topology, plan, sim).expect("setup succeeds");
-                prop_assert_eq!(through_arena.completed, sequential.completed);
-                prop_assert_eq!(through_arena.cycles, sequential.cycles);
-                prop_assert_eq!(through_arena.words_delivered, sequential.words_delivered);
+                prop_assert_eq!(&through_arena, &sequential);
                 // Certified plans complete (Theorem 1), so replays agree on
                 // success, not just on failure shape.
                 prop_assert!(through_arena.completed, "{} did not complete", program.num_cells());
@@ -177,58 +117,18 @@ fn transfer(cells: usize, reps: usize) -> Program {
     .expect("transfer parses")
 }
 
-/// The scheduler's sequential reference: split the mixed batch by
-/// compiled-topology fingerprint, run each group through sequential
-/// `verify_batch_compiled`, and scatter the reports back to input order.
-fn sequential_reference(
-    items: &[(Program, Arc<CompiledTopology>, Arc<CommPlan>)],
-    sim: SimConfig,
-) -> Vec<VerifyReport> {
-    let mut groups: Vec<(u128, Vec<usize>)> = Vec::new();
-    for (i, (_, compiled, _)) in items.iter().enumerate() {
-        let key = compiled.fingerprint();
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, indices)) => indices.push(i),
-            None => groups.push((key, vec![i])),
-        }
-    }
-    let mut reports: Vec<Option<VerifyReport>> = (0..items.len()).map(|_| None).collect();
-    for (_, indices) in &groups {
-        let compiled = &items[indices[0]].1;
-        let group = verify_batch_compiled(
-            indices.iter().map(|&i| {
-                let (program, _, plan) = &items[i];
-                (program, plan)
-            }),
-            compiled,
-            sim,
-        )
-        .expect("group setup succeeds");
-        for (&i, report) in indices.iter().zip(group) {
-            reports[i] = Some(report);
-        }
-    }
-    reports
-        .into_iter()
-        .map(|r| r.expect("every item verified"))
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Property three: the cross-topology scheduler. An interleaved
+    /// Property two: the served replay path. An interleaved
     /// mesh/torus/linear batch (with fig5_p2 mixed in so latch replays
-    /// deadlock) fanned out heterogeneously must be byte-identical to the
-    /// per-fingerprint sequential reference — on both the default and the
-    /// capacity-0 latch simulator, for 2–6 threads, and again when the
-    /// same scheduler instance (warm arenas) runs the batch a second
-    /// time.
+    /// deadlock) replayed through one `ArenaLru` must match a one-shot
+    /// `verify_plan_compiled` per item — on both the default and the
+    /// capacity-0 latch simulator, under a one-arena budget (evicting on
+    /// every switch) and an auto budget (all warm), and again on a second
+    /// round through the same LRU.
     #[test]
-    fn scheduler_is_byte_identical_on_mixed_topologies(
-        threads in 2usize..=6,
-        reps in 1usize..4,
-    ) {
+    fn arena_lru_matches_one_shot_on_mixed_topologies(reps in 1usize..4) {
         let analysis = AnalysisConfig {
             queues_per_interval: 2,
             lookahead: Lookahead::Unbounded,
@@ -279,39 +179,50 @@ proptest! {
             },
             ..Default::default()
         };
+        let mut latch_outcomes = Vec::new();
         for sim in [SimConfig::default(), latch] {
-            let expected = sequential_reference(&items, sim);
-            let mut scheduler = VerifyScheduler::new(sim, threads, ArenaBudget::Auto);
-            for round in 0..2 {
-                let got = scheduler
-                    .verify_batch(items.iter().map(|(p, c, plan)| (p, c, plan)))
-                    .expect("scheduler setup succeeds");
-                prop_assert_eq!(&got, &expected, "threads = {}, round = {}", threads, round);
-                for (through_scheduler, reference) in got.iter().zip(&expected) {
-                    prop_assert_eq!(&through_scheduler.deadlock, &reference.deadlock);
+            let expected: Vec<_> = items
+                .iter()
+                .map(|(p, c, plan)| verify_plan_compiled(p, c, plan, sim).expect("setup succeeds"))
+                .collect();
+            for budget in [ArenaBudget::Fixed(1), ArenaBudget::Auto] {
+                let mut arenas = ArenaLru::with_budget(budget);
+                for round in 0..2 {
+                    for ((program, compiled, plan), reference) in items.iter().zip(&expected) {
+                        let got = arenas.verify(compiled, sim, program, plan);
+                        prop_assert_eq!(
+                            got.as_ref(),
+                            Ok(reference),
+                            "budget = {:?}, round = {}",
+                            budget,
+                            round
+                        );
+                    }
                 }
+            }
+            if sim == latch {
+                latch_outcomes = expected;
             }
         }
         // The latch runs must actually exercise the deadlock path.
-        let latched = sequential_reference(&items, latch);
         prop_assert!(
-            latched.iter().any(|r| r.deadlock.is_some()),
+            latch_outcomes.iter().any(|r| r.deadlock.is_some()),
             "fig5_p2 latch replays must deadlock"
         );
         prop_assert!(
-            latched.iter().any(|r| r.completed),
+            latch_outcomes.iter().any(|r| r.completed),
             "plain transfers must complete"
         );
     }
 }
 
-/// Deadlock details cross the scheduler unchanged: a batch whose replays
-/// (deliberately) stall on capacity-0 latch queues must produce the same
-/// `ReplayDeadlock` — cycle, first blocked cell, reason text, blocked
-/// count — from the parallel fan-out as from the sequential arena, merged
-/// in input order.
+/// Deadlock details survive arena reuse: a batch whose replays
+/// (deliberately) stall on capacity-0 latch queues, interleaved with
+/// transfers that complete, must produce the same `ReplayDeadlock` —
+/// cycle, first blocked cell, reason text, blocked count — from one reused
+/// arena as from a one-shot `verify_plan` per item.
 #[test]
-fn pool_merges_deadlock_details_identically() {
+fn reused_arena_keeps_deadlock_details() {
     let topology = Topology::linear(2);
     // P2 certifies only under lookahead (both cells write first) and
     // deadlocks when replayed on latch queues (Section 3.2); plain
@@ -352,60 +263,16 @@ fn pool_merges_deadlock_details_identically() {
         ..Default::default()
     };
 
-    let sequential = verify_batch_compiled(items.iter().map(|(p, plan)| (p, plan)), &compiled, sim)
-        .expect("setup succeeds");
-    let deadlocked = sequential.iter().filter(|r| r.deadlock.is_some()).count();
-    let completed = sequential.iter().filter(|r| r.completed).count();
+    let mut arena = SimArena::from_compiled(Arc::clone(&compiled), sim);
+    let mut reports = Vec::new();
+    for (program, plan) in &items {
+        let through_arena = arena.verify(program, plan).expect("setup succeeds");
+        let one_shot = verify_plan(program, &topology, plan, sim).expect("setup succeeds");
+        assert_eq!(through_arena, one_shot, "deadlock details included");
+        reports.push(through_arena);
+    }
+    let deadlocked = reports.iter().filter(|r| r.deadlock.is_some()).count();
+    let completed = reports.iter().filter(|r| r.completed).count();
     assert_eq!(deadlocked, 4, "every P2 latch replay deadlocks");
     assert_eq!(completed, 4, "every plain transfer completes");
-
-    for threads in [2, 3, 4] {
-        let mut scheduler = VerifyScheduler::new(sim, threads, ArenaBudget::Fixed(1));
-        let parallel = scheduler
-            .verify_batch(items.iter().map(|(p, plan)| (p, &compiled, plan)))
-            .expect("scheduler setup succeeds");
-        assert_eq!(parallel, sequential, "threads = {threads}");
-        for (through_scheduler, through_arena) in parallel.iter().zip(&sequential) {
-            assert_eq!(through_scheduler.deadlock, through_arena.deadlock);
-        }
-    }
-}
-
-/// A batch with two mismatched programs (3-cell programs against a
-/// 4-cell plan topology at indices 1 and 4) fails with the same error on
-/// the sequential and the parallel path: the earliest offending index's.
-#[test]
-fn scheduler_reports_the_earliest_setup_error() {
-    let compiled =
-        CompiledTopology::compile(&fig7_topology(), &AnalysisConfig::default()).into_shared();
-    let analyzer = Analyzer::new(Arc::clone(&compiled));
-    let mut items: Vec<(Program, Arc<CommPlan>)> = (2..8)
-        .map(|reps| {
-            let program = fig7(reps);
-            let plan = Arc::new(analyzer.analyze(&program).expect("certifies").into_plan());
-            (program, plan)
-        })
-        .collect();
-    items[1].0 = transfer(3, 1);
-    items[4].0 = transfer(3, 2);
-    let sim = SimConfig::default();
-    let sequential = verify_batch_compiled(items.iter().map(|(p, plan)| (p, plan)), &compiled, sim)
-        .expect_err("index 1 mismatches");
-    assert!(
-        matches!(
-            sequential,
-            ModelError::CellCountMismatch {
-                program: 3,
-                topology: 4
-            }
-        ),
-        "{sequential:?}"
-    );
-    for threads in [1, 2, 4] {
-        let mut scheduler = VerifyScheduler::new(sim, threads, ArenaBudget::Fixed(1));
-        let parallel = scheduler
-            .verify_batch(items.iter().map(|(p, plan)| (p, &compiled, plan)))
-            .expect_err("index 1 mismatches");
-        assert_eq!(parallel, sequential, "threads = {threads}");
-    }
 }
